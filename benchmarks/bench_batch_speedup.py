@@ -1,32 +1,29 @@
-"""Delta-pipeline speedup ladder: delta vs batched vs columnar on rings.
+"""Delta-pipeline speedup ladder: delta vs batched on rings.
 
-Benchmarks the three delta-evaluation pipelines against each other on the
-workload the acceptance bars name: the PATHVECTOR fixpoint with the
-reference-provenance rewrite enabled, on rings of 12/24/32 nodes.
+Benchmarks the two delta-evaluation pipelines against each other on the
+PATHVECTOR fixpoint with the reference-provenance rewrite enabled, on
+rings of 12/24/32 nodes.
 
 * ``delta`` — the retained one-at-a-time term-tree interpreter with VID
   caching disabled: every SHA-1 VID preimage is recomputed on every rule
   firing.  This is the code path the engine ran before the batched
-  pipeline landed (PR 3's "before" configuration), kept as the baseline
-  so speedup numbers stay comparable across releases.  Note that storage
-  and engine improvements shared by all pipelines (interned rows, row-hash
-  memoization, precomputed index key extractors) have kept making this
-  baseline faster since it was first measured, so the ratios printed here
-  *understate* the speedup over the historical pre-batching commit.
-* ``batched`` — compiled plan executors, fused zero-/one-step rules,
-  VID memoization (PR 3's "after" configuration).
-* ``columnar`` — windowed column-block evaluation with generated batch
-  kernels (selection vectors, bulk hash-index probes, inlined VID memo,
-  kernel-prefrozen storage rows).
+  pipeline landed, kept as the baseline so speedup numbers stay
+  comparable across releases.  Note that storage and engine improvements
+  shared by both pipelines (interned rows, row-hash memoization,
+  precomputed index key extractors) have kept making this baseline faster
+  since it was first measured, so the ratios printed here *understate*
+  the speedup over the historical pre-batching commit.
+* ``batched`` — the production path: compiled plan executors, fused
+  zero-/one-step rules, VID memoization.
 
-All three produce bit-identical results — same fixpoints, VIDs,
-prov/ruleExec rows and counters — which the equivalence suite
+Both produce bit-identical results — same fixpoints, VIDs, prov/ruleExec
+rows and counters — which the equivalence suite
 (``tests/test_plan_equivalence.py``) enforces; this benchmark asserts it
-again on the fixpoint sizes it measures.
+again on the smallest fixpoint size it measures.
 
 Run directly for the comparison table (the README "Performance" section
 reproduces it) and the machine-readable artifact
-``results/BENCH_columnar_speedup.json``::
+``results/BENCH_batch_speedup.json``::
 
     PYTHONPATH=src python benchmarks/bench_batch_speedup.py [repeats] \
         [--json PATH]
@@ -52,25 +49,15 @@ from repro.protocols import pathvector_program
 
 SIZES = (12, 24, 32)
 DEFAULT_REPEATS = 3
-DEFAULT_JSON_PATH = os.path.join("results", "BENCH_columnar_speedup.json")
+DEFAULT_JSON_PATH = os.path.join("results", "BENCH_batch_speedup.json")
 
 #: (pipeline, vid-caching) per configuration, in baseline-first order.
 #: ``delta`` runs with the memo layers off by the baseline definition
-#: above; the optimized pipelines run in their production configuration.
+#: above; ``batched`` runs in its production configuration.
 CONFIGS: Dict[str, Tuple[str, bool]] = {
     "delta": ("delta", False),
     "batched": ("batched", True),
-    "columnar": ("columnar", True),
 }
-
-#: Speedup targets at ring-32, recorded in the JSON artifact next to the
-#: measured ratios.  The original roadmap bar for columnar-vs-delta was
-#: 5.0, calibrated against the delta pipeline as it existed when batching
-#: landed; shared storage/VID-memo work since then made that baseline
-#: itself ~2x faster, so the honest post-PR-8 bar against the *current*
-#: delta pipeline is 3.0 (measured 3.3-4.2x).  The batched-relative bar
-#: is unchanged.  See README "Performance" for the full drift note.
-TARGETS = {"columnar_vs_delta": 3.0, "columnar_vs_batched": 1.5}
 
 
 def _build(size: int, pipeline: str) -> Tuple[StandaloneNetwork, List]:
@@ -93,21 +80,12 @@ def run_fixpoint(size: int, config: str) -> StandaloneNetwork:
     return network
 
 
-def _columnar_counters(network: StandaloneNetwork) -> Dict[str, int]:
-    """Sum the per-engine columnar window/kernel counters."""
-    totals: Dict[str, int] = {}
-    for engine in network.engines.values():
-        for name, value in engine.columnar_counters.items():
-            totals[name] = totals.get(name, 0) + value
-    return totals
-
-
-def _run_once(size: int, config: str) -> Tuple[float, int, Dict[str, int]]:
+def _run_once(size: int, config: str) -> Tuple[float, int]:
     """One timed fixpoint, excluding construction.
 
     Plan compilation happens at program-load time by design (one-time setup
     amortized over the network's lifetime), so the timing isolates delta
-    processing — the quantity the optimized pipelines change.
+    processing — the quantity the batched pipeline changes.
     """
     pipeline, caching = CONFIGS[config]
     vid.set_vid_caching(caching)
@@ -120,9 +98,8 @@ def _run_once(size: int, config: str) -> Tuple[float, int, Dict[str, int]]:
     network.run()
     elapsed = time.perf_counter() - started
     deltas = network.planner_stats()["deltas_processed"]
-    counters = _columnar_counters(network) if pipeline == "columnar" else {}
     vid.set_vid_caching(True)
-    return elapsed, deltas, counters
+    return elapsed, deltas
 
 
 def _measure(size: int, repeats: int) -> Dict[str, Any]:
@@ -133,13 +110,10 @@ def _measure(size: int, repeats: int) -> Dict[str, Any]:
     """
     best = {config: float("inf") for config in CONFIGS}
     deltas = 0
-    counters: Dict[str, int] = {}
     for _ in range(repeats):
         for config in CONFIGS:
-            elapsed, deltas, run_counters = _run_once(size, config)
+            elapsed, deltas = _run_once(size, config)
             best[config] = min(best[config], elapsed)
-            if run_counters:
-                counters = run_counters
     deltas_per_s = {
         config: deltas / max(elapsed, 1e-9) for config, elapsed in best.items()
     }
@@ -149,12 +123,7 @@ def _measure(size: int, repeats: int) -> Dict[str, Any]:
         "deltas_per_s": {k: round(v, 1) for k, v in deltas_per_s.items()},
         "speedup": {
             "batched_vs_delta": round(best["delta"] / max(best["batched"], 1e-9), 2),
-            "columnar_vs_delta": round(best["delta"] / max(best["columnar"], 1e-9), 2),
-            "columnar_vs_batched": round(
-                best["batched"] / max(best["columnar"], 1e-9), 2
-            ),
         },
-        "columnar_counters": counters,
     }
 
 
@@ -166,7 +135,7 @@ def _snapshot(network: StandaloneNetwork) -> dict:
 
 
 # ---------------------------------------------------------------------- #
-# pytest-benchmark cases (and the equivalence + kernel-coverage guards)
+# pytest-benchmark cases (and the equivalence guard)
 # ---------------------------------------------------------------------- #
 def test_rewritten_fixpoint_delta(benchmark):
     network = benchmark(lambda: run_fixpoint(SIZES[0], "delta"))
@@ -178,29 +147,10 @@ def test_rewritten_fixpoint_batched(benchmark):
     assert len(network.all_rows("prov")) > 0
 
 
-def test_rewritten_fixpoint_columnar(benchmark):
-    network = benchmark(lambda: run_fixpoint(SIZES[0], "columnar"))
-    assert len(network.all_rows("prov")) > 0
-
-
 def test_pipelines_bit_identical():
-    """All pipelines must agree on every table, VIDs included."""
+    """Both pipelines must agree on every table, VIDs included."""
     reference = _snapshot(run_fixpoint(SIZES[0], "delta"))
     assert _snapshot(run_fixpoint(SIZES[0], "batched")) == reference
-    assert _snapshot(run_fixpoint(SIZES[0], "columnar")) == reference
-
-
-def test_columnar_full_kernel_coverage():
-    """Every rewritten-PATHVECTOR batch must run a generated kernel.
-
-    ``generic_batches == 0`` is the deterministic CI stand-in for the
-    wall-clock speedup story: the moment a rule shape regresses out of the
-    generated-kernel subset, the speedup silently collapses — this catches
-    it without timing anything.
-    """
-    counters = _columnar_counters(run_fixpoint(SIZES[0], "columnar"))
-    assert counters.get("kernel_batches", 0) > 0
-    assert counters.get("generic_batches", 0) == 0
 
 
 # ---------------------------------------------------------------------- #
@@ -213,8 +163,7 @@ def main(repeats: int = DEFAULT_REPEATS, json_path: str = DEFAULT_JSON_PATH) -> 
     )
     header = (
         f"{'nodes':>5} {'deltas':>8} "
-        f"{'delta d/s':>11} {'batched d/s':>12} {'columnar d/s':>13} "
-        f"{'col/delta':>9} {'col/batch':>9}"
+        f"{'delta d/s':>11} {'batched d/s':>12} {'batch/delta':>11}"
     )
     print(header)
     print("-" * len(header))
@@ -227,31 +176,20 @@ def main(repeats: int = DEFAULT_REPEATS, json_path: str = DEFAULT_JSON_PATH) -> 
         print(
             f"{size:>5} {measured['deltas']:>8} "
             f"{rates['delta']:>11,.0f} {rates['batched']:>12,.0f} "
-            f"{rates['columnar']:>13,.0f} "
-            f"{speedup['columnar_vs_delta']:>8.2f}x "
-            f"{speedup['columnar_vs_batched']:>8.2f}x"
+            f"{speedup['batched_vs_delta']:>10.2f}x"
         )
-    gate = sizes[str(SIZES[-1])]["speedup"]
     artifact = {
-        "benchmark": "columnar_speedup",
+        "benchmark": "batch_speedup",
         "workload": "pathvector + ref-provenance rewrite, ring topology",
         "baseline": "pipeline=delta with VID/sha1 caching disabled",
         "repeats": repeats,
         "sizes": sizes,
-        "targets": dict(TARGETS),
-        "gates": {
-            name: gate[name] >= target for name, target in TARGETS.items()
-        },
     }
     os.makedirs(os.path.dirname(json_path) or ".", exist_ok=True)
     with open(json_path, "w", encoding="utf-8") as handle:
         json.dump(artifact, handle, indent=2, sort_keys=True)
         handle.write("\n")
     print(f"\nwrote {json_path}")
-    for name, target in TARGETS.items():
-        achieved = gate[name]
-        status = "MET" if achieved >= target else "below target"
-        print(f"  ring-{SIZES[-1]} {name}: {achieved:.2f}x (target {target}x, {status})")
     stats = vid.vid_cache_stats()
     print(
         "vid cache after last run: "

@@ -47,7 +47,7 @@ _MODES_BY_NAME: Dict[str, ProvenanceMode] = {
 }
 
 _PLANNERS = (None, "greedy", "naive")
-_PIPELINES = (None, "batched", "delta", "columnar")
+_PIPELINES = (None, "batched", "delta")
 _VALUE_POLICIES = ("bdd", "polynomial")
 
 
@@ -84,9 +84,9 @@ class ExspanConfig:
         the topology's first node);
         ``planner`` — rule planner (``None`` = process default,
         ``"greedy"`` or ``"naive"``);
-        ``pipeline`` — delta pipeline (``None`` = process default,
-        ``"batched"``, ``"delta"``, or the vectorized ``"columnar"``;
-        all three are bit-identical).
+        ``pipeline`` — delta pipeline (``None`` or ``"batched"`` for the
+        production path, ``"delta"`` for the reference interpreter; the
+        two are bit-identical).
 
     Workload
         ``link_cost`` — default cost for runtime-added links;
@@ -111,7 +111,7 @@ class ExspanConfig:
     Storage
         ``storage`` — storage backend spec (``None`` = process default,
         ``"memory"``, ``"sqlite"``, or ``"sqlite:<path>"``).  An
-        execution-environment knob like ``pipeline``: results are
+        execution-environment knob like ``--shards``: results are
         byte-identical under any backend, and the spec is only emitted
         in :meth:`to_dict` when explicitly set.
     """

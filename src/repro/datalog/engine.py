@@ -29,9 +29,9 @@ without reordering anything: deltas inside a batch are still applied and
 fired strictly in FIFO order, and derived deltas always join the back of
 the queue, so the batched pipeline is bit-identical to the legacy
 ``pipeline="delta"`` interpreter — same fixpoints, same provenance VIDs,
-same annotation merges, same ``tuples_scanned`` counters.  The legacy
-pipeline is retained as the equivalence-test reference and the "before"
-measurement of the speedup benchmarks.
+same annotation merges, same ``tuples_scanned`` counters.  ``delta`` is
+the one reference oracle: the equivalence tests compare the production
+``batched`` path against it, and the speedup benchmarks measure against it.
 
 The engine exposes two extension points used by the ExSPAN provenance layer:
 
@@ -79,9 +79,6 @@ from .plan import (
     compile_term,
     explain_plans,
 )
-from .plan.columnar import EmissionCapture
-from .plan.columnar import predicate_info as _columnar_predicate_info
-from .plan.columnar import process_window as _columnar_process_window
 from .plan.compiler import STALENESS_CHECK_PERIOD
 from .terms import AggregateSpec, Constant, Variable
 
@@ -97,8 +94,6 @@ __all__ = [
     "PIPELINES",
     "default_planner",
     "set_default_planner",
-    "default_pipeline",
-    "set_default_pipeline",
 ]
 
 #: Evaluation strategies: "greedy" routes deltas through compiled plans from
@@ -107,17 +102,14 @@ __all__ = [
 #: kept so benchmarks can quantify what the planner buys.
 PLANNERS = ("greedy", "naive")
 
-#: Delta pipelines: "batched" drains the queue in per-(predicate, action)
-#: runs and executes closure-compiled plans; "delta" is the legacy
-#: one-delta-at-a-time interpreter, kept as the equivalence reference and
-#: the "before" side of the batching benchmarks; "columnar" drains whole
-#: queue windows and evaluates join plans as vectorized batch kernels over
-#: column blocks (:mod:`repro.datalog.plan.columnar`).  Results are
-#: bit-identical across all three.
-PIPELINES = ("batched", "delta", "columnar")
+#: Delta pipelines: "batched" (the default, and the one production path)
+#: drains the queue in per-(predicate, action) runs and executes
+#: closure-compiled plans; "delta" is the one-delta-at-a-time interpreter,
+#: kept as the equivalence reference and the "before" side of the batching
+#: benchmarks.  Results are bit-identical across both.
+PIPELINES = ("batched", "delta")
 
 _DEFAULT_PLANNER = "greedy"
-_DEFAULT_PIPELINE = "batched"
 
 
 def default_planner() -> str:
@@ -133,24 +125,6 @@ def set_default_planner(name: str) -> None:
     _DEFAULT_PLANNER = name
 
 
-def default_pipeline() -> str:
-    """The pipeline engines use when constructed without an explicit one."""
-    return _DEFAULT_PIPELINE
-
-
-def set_default_pipeline(name: str) -> None:
-    """Set the process-wide default pipeline (experiment harness plumbing).
-
-    Like :func:`set_default_planner` this is an execution-environment knob:
-    all pipelines produce bit-identical results, so it never participates
-    in scenario fingerprints — the CI artifact gates exploit exactly that.
-    """
-    global _DEFAULT_PIPELINE
-    if name not in PIPELINES:
-        raise ValueError(f"unknown pipeline {name!r}; expected one of {PIPELINES}")
-    _DEFAULT_PIPELINE = name
-
-
 INSERT = "insert"
 DELETE = "delete"
 #: A provenance-annotation update for an already-present tuple.  Only used
@@ -163,21 +137,11 @@ REFRESH = "refresh"
 
 @dataclass(slots=True)
 class Delta:
-    """A single insertion, deletion or annotation refresh of a fact.
-
-    ``frozen`` is a storage-layer side channel: columnar batch kernels that
-    can prove the frozen (hashable) image of the head value tuple at
-    code-generation time attach it here, letting
-    :meth:`~repro.datalog.catalog.Table.apply_delta_block` skip the
-    per-value freeze entirely.  It never participates in equality, repr or
-    the wire format, and ``None`` (the default everywhere else) simply
-    means "freeze from ``fact.values`` as usual".
-    """
+    """A single insertion, deletion or annotation refresh of a fact."""
 
     action: str
     fact: Fact
     annotation: Any = None
-    frozen: Any = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.action not in (INSERT, DELETE, REFRESH):
@@ -311,30 +275,16 @@ class NDlogEngine:
             raise ValidationError(
                 f"unknown planner {self.planner!r}; expected one of {PLANNERS}"
             )
-        self.pipeline = pipeline if pipeline is not None else default_pipeline()
+        self.pipeline = pipeline if pipeline is not None else "batched"
         if self.pipeline not in PIPELINES:
             raise ValidationError(
                 f"unknown pipeline {self.pipeline!r}; expected one of {PIPELINES}"
             )
-        #: True when the batched pipeline (and compiled plan execution) runs.
-        #: The columnar pipeline is a superset of batched: configurations
-        #: its kernels cannot vectorize fall back to this exact loop.
-        self._batched = self.pipeline in ("batched", "columnar")
-        #: True when _fire_rules may take the compiled fast path.
-        self._fast = self._batched and self.planner == "greedy"
-        #: True when run() may enter the columnar window evaluator (the
-        #: per-run annotation-policy / rule-listener checks still apply).
-        self._columnar = self.pipeline == "columnar" and self.planner == "greedy"
-        #: ``engine.columnar.*`` observability counters.  Deliberately NOT
-        #: part of :attr:`stats`: stats feed the deterministic artifact
-        #: digests (and the equivalence tests compare them verbatim), while
-        #: window/segment/kernel counts are pipeline-specific by nature.
-        self.columnar_counters: Dict[str, int] = defaultdict(int)
-        #: predicate name -> plan.columnar.PredicateInfo, invalidated on
-        #: add_rule (firings lists and their kernels change).
-        self._columnar_info: Dict[str, Any] = {}
-        #: Shared emission-capture shim for the columnar fallback paths.
-        self._columnar_capture = EmissionCapture()
+        #: True for the batched pipeline: run() drains same-(predicate,
+        #: action) runs and _fire_rules executes the closure-compiled plans.
+        #: Naive-planner firings carry no plan, so they take the interpreted
+        #: join either way.
+        self._batched = self.pipeline == "batched"
         # keyed by (id(rule), position): rule *identity*, not label, because
         # load_program may be called more than once and distinct rules with
         # the same label must not clobber each other's plans (self.rules
@@ -357,13 +307,6 @@ class NDlogEngine:
                 self.catalog.declare(decl)
         for rule in program.rules:
             self.add_rule(rule)
-        if self._columnar:
-            # Warm the columnar dispatch metadata (and generate the batch
-            # kernels, which are memoized program-wide) at load time, so the
-            # first fixpoint pays evaluation cost only — matching the
-            # batched pipeline's load-time plan compilation.
-            for name in self._firings_by_predicate:
-                _columnar_predicate_info(self, name)
         for fact in program.facts:
             if fact.location == self.address:
                 self.insert(fact)
@@ -393,9 +336,6 @@ class NDlogEngine:
                 self._plans[(id(rule), position)] = plan
                 self.stats["plans_compiled"] += 1
             self._firings_by_predicate[atom.name].append(_Firing(rule, position, plan))
-        if self._columnar_info:
-            # Firings lists (and their batch kernels) just changed shape.
-            self._columnar_info.clear()
 
     def explain(self, label: Optional[str] = None) -> str:
         """Render the compiled evaluation plans (``EXPLAIN`` for NDlog).
@@ -423,14 +363,6 @@ class NDlogEngine:
                 plans = matching(lambda rule_label: rule_label.startswith(label + "_"))
         if not plans:
             return f"no compiled plans for rule label {label!r}"
-        if self.pipeline == "columnar":
-            from .plan.explain import columnar_summary
-
-            return (
-                explain_plans(plans, pipeline="columnar")
-                + "\n\n"
-                + columnar_summary(self.columnar_counters)
-            )
         return explain_plans(plans)
 
     def add_rule_listener(self, listener: Callable[[RuleFiring], None]) -> None:
@@ -465,12 +397,10 @@ class NDlogEngine:
             self.__dict__.pop("run", None)
             self.__dict__.pop("_process_batch", None)
             self.__dict__.pop("_fire_rules", None)
-            self.__dict__.pop("_process_window", None)
         else:
             self.__dict__["run"] = self._traced_run
             self.__dict__["_process_batch"] = self._traced_process_batch
             self.__dict__["_fire_rules"] = self._traced_fire_rules
-            self.__dict__["_process_window"] = self._traced_process_window
 
     def _traced_run(self, max_steps: Optional[int] = None) -> int:
         if not self._queue:
@@ -503,15 +433,6 @@ class NDlogEngine:
             rule=",".join(firing.rule.label for firing in firings),
         ):
             NDlogEngine._fire_rules(self, firings, delta)
-
-    def _traced_process_window(self, window: List[Delta]) -> None:
-        with self.tracer.span(
-            "engine.columnar.window",
-            cat="engine",
-            host=self.address,
-            deltas=len(window),
-        ):
-            _columnar_process_window(self, window, tracer=self.tracer)
 
     # ------------------------------------------------------------------ #
     # external updates
@@ -554,37 +475,7 @@ class NDlogEngine:
         Derived deltas always join the back of the queue, exactly as when
         they are produced one delta at a time, so batching changes dispatch
         cost only — never processing order or results.
-
-        The columnar pipeline drains whole queue *windows* and hands them to
-        the vectorized kernels (:mod:`repro.datalog.plan.columnar`); every
-        buffered emission rejoins the queue in exact per-tuple order, so it
-        too is bit-identical.  Configurations the kernels cannot vectorize
-        (annotation policies, rule listeners, the naive planner) run the
-        batched loop below unchanged.
         """
-        if (
-            self._columnar
-            and self.annotation_policy is None
-            and not self._rule_listeners
-        ):
-            queue = self._queue
-            steps = 0
-            while queue:
-                if max_steps is not None:
-                    limit = max_steps - steps
-                    if limit <= 0:
-                        break
-                    if limit < len(queue):
-                        window = [queue.popleft() for _ in range(limit)]
-                    else:
-                        window = list(queue)
-                        queue.clear()
-                else:
-                    window = list(queue)
-                    queue.clear()
-                self._process_window(window)
-                steps += len(window)
-            return steps
         if not self._batched:
             steps = 0
             while self._queue:
@@ -640,14 +531,6 @@ class NDlogEngine:
                     self._apply_refresh(table, firings, delta)
             steps += 1
         return steps
-
-    def _process_window(self, window: List[Delta]) -> None:
-        """Evaluate one drained queue window through the columnar kernels."""
-        _columnar_process_window(self, window)
-
-    def columnar_stats(self) -> Dict[str, int]:
-        """Snapshot of the ``engine.columnar.*`` observability counters."""
-        return dict(self.columnar_counters)
 
     def _process_batch(self, name: str, action: str, batch: List[Delta]) -> None:
         """Apply one (predicate, action) run of deltas, strictly in order."""
@@ -765,13 +648,13 @@ class NDlogEngine:
         interpreted path.  Both preserve rule registration order, so head
         deltas are enqueued identically.
         """
-        if self._fast:
+        if self._batched:
             values = delta.fact.values
             for firing in firings:
                 plan = firing.plan
                 if plan is None:
-                    # Plan not compiled yet (rule added outside add_rule's
-                    # greedy path); match generically, then compile.
+                    # Naive planner: no compiled plan, so match and join
+                    # generically, exactly as the interpreted loop below.
                     self._evaluate_delta_rule(firing.rule, firing.position, delta)
                     continue
                 fused = plan.fused_exec

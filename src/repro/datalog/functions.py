@@ -167,14 +167,12 @@ def _f_sha1(args: Sequence[Any]) -> str:
 def sha1_for_preimage(preimage: str) -> str:
     """Digest (and cache) an already-concatenated ``f_sha1`` preimage.
 
-    The columnar batch kernels build the stringified preimage inline (the
-    static argument structure of the provenance rewrite's ``f_sha1`` calls
-    is known at kernel-generation time, so the per-call list allocation and
-    argument freezing of :func:`_f_sha1` can be skipped entirely) and memo
-    their digests by the preimage string itself.  Preimage-keyed and
+    Memoizes the digest by the preimage string itself.  Preimage-keyed and
     frozen-argument-keyed entries coexist safely in the one bounded cache:
     string keys never compare equal to tuple keys, and both map to the same
-    digest values.
+    digest values.  No evaluation pipeline calls this; it is kept as a
+    hashing entry point that the benchmark's per-layer tracing binds by
+    name.
     """
     global _sha1_misses
     digest = sha1_hex(preimage)
@@ -184,12 +182,6 @@ def sha1_for_preimage(preimage: str) -> str:
             _sha1_cache.clear()
         _sha1_cache[preimage] = digest
     return digest
-
-
-def note_sha1_hits(count: int) -> None:
-    """Credit *count* memo hits observed by an inlined batch-kernel loop."""
-    global _sha1_hits
-    _sha1_hits += count
 
 
 def _f_concat(args: Sequence[Any]) -> List[Any]:

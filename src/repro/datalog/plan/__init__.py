@@ -9,8 +9,6 @@ evaluation plans:
 * :mod:`~repro.datalog.plan.optimizer` — greedy join-order selection;
 * :mod:`~repro.datalog.plan.indexes` — planner-selected secondary indexes;
 * :mod:`~repro.datalog.plan.compiler` — executable compiled plans;
-* :mod:`~repro.datalog.plan.columnar` — vectorized batch kernels over
-  column blocks (the ``pipeline="columnar"`` evaluation core);
 * :mod:`~repro.datalog.plan.explain` — human-readable plan rendering.
 
 The subsystem sits entirely behind :class:`~repro.datalog.engine.NDlogEngine`
@@ -19,7 +17,6 @@ left-to-right nested-loop strategy for comparison); plans never change what
 a rule derives, only how many tuples are scanned deriving it.
 """
 
-from .columnar import ColumnBlock, batch_kernel_for, describe_kernel
 from .compiled_exec import compile_term
 from .compiler import CompiledDeltaPlan, CompiledStep, LookupSpec, PlanCompiler
 from .cost import CatalogStatistics, CostEstimate, CostModel, DEFAULT_SELECTIVITY
@@ -32,7 +29,6 @@ from .optimizer import GreedyOptimizer, JoinOrder, OrderedStep
 __all__ = [
     "AtomSignature",
     "CatalogStatistics",
-    "ColumnBlock",
     "CompiledDeltaPlan",
     "CompiledStep",
     "CostEstimate",
@@ -47,10 +43,8 @@ __all__ = [
     "LookupSpec",
     "NormalizedRule",
     "OrderedStep",
-    "batch_kernel_for",
     "compile_term",
     "construct_join_graph",
-    "describe_kernel",
     "explain_plan",
     "explain_plans",
     "normalize_rule",

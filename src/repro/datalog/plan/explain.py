@@ -6,21 +6,15 @@ target, the index (or full scan) it uses, where each constraint value comes
 from, the optimizer's row estimate, and how many body literals are pushed
 down after the step.  The engine exposes this through
 :meth:`~repro.datalog.engine.NDlogEngine.explain`.
-
-Under ``pipeline="columnar"`` each plan additionally shows its batch
-execution strategy — the generated kernel sequence (selection vector,
-build side, probe method) or the reason it falls back to per-delta
-evaluation — plus, when the engine has already run, the observed average
-batch width the kernels amortize their setup over.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Mapping, Optional
+from typing import Iterable, List
 
 from .compiler import CompiledDeltaPlan, CompiledStep, LookupSpec
 
-__all__ = ["explain_plan", "explain_plans", "columnar_summary"]
+__all__ = ["explain_plan", "explain_plans"]
 
 
 def _render_lookup(spec: LookupSpec) -> str:
@@ -53,12 +47,8 @@ def _render_step(number: int, step: CompiledStep) -> List[str]:
     return lines
 
 
-def explain_plan(plan: CompiledDeltaPlan, *, pipeline: Optional[str] = None) -> str:
-    """Render one compiled delta plan as indented text.
-
-    With ``pipeline="columnar"`` the rendering appends the plan's batch
-    execution strategy (see :func:`~repro.datalog.plan.columnar.describe_kernel`).
-    """
+def explain_plan(plan: CompiledDeltaPlan) -> str:
+    """Render one compiled delta plan as indented text."""
     rule = plan.rule
     lines = [
         f"rule {rule.label}: delta on {plan.trigger_atom.name}"
@@ -83,36 +73,9 @@ def explain_plan(plan: CompiledDeltaPlan, *, pipeline: Optional[str] = None) -> 
             for name, count in sorted(plan.cardinality_snapshot.items())
         )
         lines.append(f"  costed against local fragments: {rendered}")
-    if pipeline == "columnar":
-        from .columnar import describe_kernel
-
-        for description in describe_kernel(plan):
-            lines.append(f"  columnar: {description}")
     return "\n".join(lines)
 
 
-def explain_plans(
-    plans: Iterable[CompiledDeltaPlan], *, pipeline: Optional[str] = None
-) -> str:
+def explain_plans(plans: Iterable[CompiledDeltaPlan]) -> str:
     """Render several plans separated by blank lines."""
-    return "\n\n".join(explain_plan(plan, pipeline=pipeline) for plan in plans)
-
-
-def columnar_summary(counters: Mapping[str, Any]) -> str:
-    """One-line summary of observed columnar batching (``EXPLAIN`` footer).
-
-    *counters* is an engine's ``columnar_counters`` mapping; the estimated
-    batch width is the average number of deltas each kernel invocation
-    amortized its setup over so far (0 until the engine has processed a
-    window).
-    """
-    batches = counters.get("kernel_batches", 0) + counters.get("generic_batches", 0)
-    deltas = counters.get("deltas", 0)
-    width = deltas / batches if batches else 0.0
-    return (
-        f"columnar batching: {counters.get('windows', 0)} window(s), "
-        f"{counters.get('segments', 0)} segment(s), "
-        f"{counters.get('kernel_batches', 0)} kernel batch(es), "
-        f"{counters.get('generic_batches', 0)} generic batch(es), "
-        f"estimated batch width {width:.1f} deltas"
-    )
+    return "\n\n".join(explain_plan(plan) for plan in plans)

@@ -33,7 +33,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from ..datalog.engine import PIPELINES, PLANNERS
+from ..datalog.engine import PLANNERS
 from ..obs.export import (
     load_trace,
     phase_summary,
@@ -80,7 +80,6 @@ def _cmd_run(arguments: argparse.Namespace) -> int:
             resume=not arguments.no_resume,
             planner=arguments.planner,
             shards=arguments.shards,
-            pipeline=arguments.pipeline,
             verbose=arguments.verbose,
             trace_dir=arguments.trace,
             storage=arguments.storage,
@@ -203,13 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="default worker-shard count for shard-capable trials (the "
         "sharded engine is bit-identical to serial, so artifacts are "
         "byte-identical for any value — CI exploits that as a gate)",
-    )
-    run_parser.add_argument(
-        "--pipeline", choices=PIPELINES, default=None,
-        help="default delta-evaluation pipeline for every trial (delta, "
-        "batched or columnar; all three are bit-identical by contract, so "
-        "artifacts are byte-identical for any choice — the CI columnar "
-        "gate strict-compares them against committed baselines)",
     )
     run_parser.add_argument(
         "--storage", default=None, metavar="SPEC",

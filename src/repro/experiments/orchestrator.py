@@ -45,7 +45,6 @@ from .scenarios import (
     resolve_scenarios,
     run_trial_spec,
 )
-from ..datalog.engine import set_default_pipeline
 from .trials import TRIAL_FUNCTIONS, set_default_faults, set_default_shards
 
 __all__ = [
@@ -207,15 +206,12 @@ _TRACE_DIR: Optional[str] = None
 def _configure_worker(
     shards: int,
     trace_dir: Optional[str],
-    pipeline: Optional[str] = None,
     storage: Optional[str] = None,
     faults: Optional[str] = None,
 ) -> None:
-    """Process-pool initializer: shard count, trace dir, pipeline, storage, faults."""
+    """Process-pool initializer: shard count, trace dir, storage, faults."""
     global _TRACE_DIR
     set_default_shards(shards)
-    if pipeline is not None:
-        set_default_pipeline(pipeline)
     if storage is not None:
         from ..storage.backend import set_default_storage
 
@@ -300,7 +296,6 @@ def run(
     resume: bool = True,
     planner: Optional[str] = None,
     shards: Optional[int] = None,
-    pipeline: Optional[str] = None,
     verbose: bool = False,
     trace_dir: Optional[str] = None,
     storage: Optional[str] = None,
@@ -318,12 +313,6 @@ def run(
     bit-identical to the serial one — artifacts produced under any
     ``shards`` value must match byte for byte, which is how CI verifies
     the engine's determinism guarantee against the committed baselines.
-    ``pipeline`` follows the ``shards`` convention exactly: it sets the
-    process-wide default delta-evaluation pipeline (``"delta"``,
-    ``"batched"`` or ``"columnar"``) without entering kwargs or
-    fingerprints — every pipeline is bit-identical by contract, and the CI
-    columnar gate re-runs the suite under ``pipeline="columnar"`` and
-    strict-compares the artifacts against the committed baselines.
     ``trace_dir`` mirrors ``shards``: it enables span tracing for every
     executed trial, writes one Chrome trace per trial into the directory
     and adds the advisory per-trial ``"phases"`` breakdown — while the
@@ -350,8 +339,6 @@ def run(
     global _TRACE_DIR
     if shards is not None:
         set_default_shards(shards)
-    if pipeline is not None:
-        set_default_pipeline(pipeline)
     if storage is not None:
         from ..storage.backend import set_default_storage
 
@@ -416,7 +403,6 @@ def run(
                 initargs=(
                     shards if shards is not None else 1,
                     trace_dir,
-                    pipeline,
                     storage,
                     faults,
                 ),

@@ -16,8 +16,8 @@ This package owns tuple storage for the whole system:
 * :mod:`repro.storage.checkpoint` — snapshot-consistent network
   checkpoint & restore (``ExspanNetwork.checkpoint``/``restore``).
 
-Backend choice is an execution-environment knob like ``--shards`` and
-``--pipeline``: never fingerprinted, and results are byte-identical under
+Backend choice is an execution-environment knob like ``--shards``: never
+fingerprinted, and results are byte-identical under
 any backend.
 """
 

@@ -228,7 +228,7 @@ class Table:
         return _DELETED_KEPT
 
     def apply_delta_block(self, deltas: Sequence[Any]) -> List[Any]:
-        """Apply a columnar block of deltas in order; per-delta fire codes.
+        """Apply a block of deltas in order; per-delta fire codes.
 
         Semantically one :meth:`insert` / :meth:`delete` per delta (REFRESH
         is a storage no-op), with the per-call overhead — method dispatch,
@@ -242,6 +242,9 @@ class Table:
         values are already hashable (no embedded lists/sets) looks up and
         stores identically to its frozen image, because ``_freeze`` only
         rewrites containers into equal tuples.
+
+        No evaluation pipeline calls this; it is kept as a storage entry
+        point that the benchmark's per-layer tracing binds by name.
         """
         results: List[Any] = []
         append = results.append
@@ -255,10 +258,9 @@ class Table:
         for delta in deltas:
             action = delta.action
             if action == "insert":
-                # Kernel-prefrozen rows (see Delta.frozen) skip the freeze;
-                # getattr-with-default also absorbs deltas minted through
-                # Delta.__new__ by the per-tuple emitters, whose slot is
-                # never assigned.
+                # A delta-like object may carry its row prefrozen in a
+                # ``frozen`` attribute; Delta itself has none, so the
+                # getattr default sends it down the freeze below.
                 row = getattr(delta, "frozen", None)
                 if row is None:
                     values = delta.fact.values
@@ -542,9 +544,10 @@ class Table:
     ) -> Dict[Tuple[Any, ...], Dict[Tuple[Any, ...], None]]:
         """The raw hash index over *positions* (built on first use).
 
-        Returned for repeated probing against a table known to be stable;
-        the columnar kernels hoist ``index.get`` out of their batch loops.
-        Callers must not mutate the table while holding the reference.
+        Returned for repeated probing against a table known to be stable,
+        so a batch loop can hoist ``index.get``.  Callers must not mutate
+        the table while holding the reference.  No evaluation pipeline
+        calls this; the benchmark's per-layer tracing binds it by name.
         """
         index = self._indexes.get(positions)
         if index is None:
@@ -557,9 +560,10 @@ class Table:
         """Bulk index probe: the per-key bucket (or ``None``) for each key.
 
         One C-speed ``map`` over the whole key column instead of a Python
-        call per probe — the probe half of the columnar hash-join kernels.
-        Keys must already be frozen in canonical (sorted-position) order,
-        exactly as :meth:`probe` expects them.
+        call per probe.  Keys must already be frozen in canonical
+        (sorted-position) order, exactly as :meth:`probe` expects them.  No
+        evaluation pipeline calls this; the benchmark's per-layer tracing
+        binds it by name.
         """
         index = self._indexes.get(positions)
         if index is None:

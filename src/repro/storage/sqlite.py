@@ -6,7 +6,7 @@ onto one sqlite database (WAL mode) — base and derived tuples, the
 carries its content-derived VID).  The mirror is *write-behind*: the
 engine's update listener only appends to an in-RAM journal, and
 :meth:`SqliteBackend.flush` drains the journal in one WAL transaction, so
-the batched/columnar delta hot paths keep their in-RAM speed and the
+the batched delta hot path keep their in-RAM speed and the
 database lags the engine by at most one un-flushed journal.
 
 On top of the mirrored ``prov``/``ruleExec`` rows the backend maintains a

@@ -13,7 +13,7 @@ from repro.datalog import (
     NDlogEngine,
     parse_program,
 )
-from repro.datalog.engine import REFRESH
+from repro.datalog.engine import PIPELINES, REFRESH
 from repro.datalog.errors import EvaluationError
 
 
@@ -275,6 +275,14 @@ class TestRemoteEmission:
         engine.insert(Fact("link", ("a", "b", 1)))
         with pytest.raises(EvaluationError):
             engine.run()
+
+    def test_remote_derivation_without_send_callback_raises(self):
+        program = parse_program("r1 there(@D,S) :- here(@S,D).")
+        for pipeline in PIPELINES:
+            engine = NDlogEngine("n", program, pipeline=pipeline)
+            engine.insert(Fact("here", ("n", "m")))
+            with pytest.raises(EvaluationError, match="no .*send callback"):
+                engine.run()
 
     def test_local_head_not_sent(self):
         sent = []

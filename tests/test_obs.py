@@ -537,6 +537,18 @@ class TestTracedRunDeterminism:
         assert snapshot["gauges"]["sim.now"] == net.simulator.now
         json.dumps(snapshot)
 
+    def test_metrics_snapshot_exposes_sha1_and_vid_cache_counters(self):
+        net, _, _ = _run_workload()
+        snapshot = net.metrics_snapshot()
+        counters = snapshot["counters"]
+        gauges = snapshot["gauges"]
+        for layer in ("sha1", "vid"):
+            assert f"cache.{layer}.hits" in counters
+            assert f"cache.{layer}.misses" in counters
+            assert gauges[f"cache.{layer}.limit"] > 0
+        # the provenance rewrite actually exercises the sha1 memo
+        assert counters["cache.sha1.hits"] + counters["cache.sha1.misses"] > 0
+
 
 # ---------------------------------------------------------------------- #
 # sharded runs: traced == untraced == serial, spans merge across shards

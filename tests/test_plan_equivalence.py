@@ -5,12 +5,11 @@ Two independent axes are swept:
 * **planner** — ``"naive"`` (left-to-right nested loops) vs ``"greedy"``
   (cost-based compiled plans).  The compiled path may only change *how
   many tuples are scanned*, never what is derived.
-* **pipeline** — ``"delta"`` (the legacy one-delta-at-a-time term-tree
+* **pipeline** — ``"delta"`` (the one-delta-at-a-time term-tree
   interpreter) vs ``"batched"`` (per-(predicate, action) batch drain with
-  closure-compiled and exec-generated plan executors) vs ``"columnar"``
-  (windowed column-block evaluation with generated batch kernels).  The
-  optimized pipelines may only change dispatch cost, never processing
-  order — the interpreter is the equivalence oracle for both.
+  closure-compiled and exec-generated plan executors).  The batched
+  pipeline may only change dispatch cost, never processing order — the
+  interpreter is its equivalence oracle.
 
 Fixpoints, provenance tables (prov / ruleExec with their VIDs), and
 value-based annotations all feed the paper's results and must be identical
@@ -35,7 +34,13 @@ from hypothesis import strategies as st
 
 from repro.core import ExspanConfig, ExspanNetwork, ProvenanceMode, polynomial_query
 from repro.datalog import Fact, StandaloneNetwork
-from repro.datalog.engine import AnnotationPolicy, NDlogEngine, PIPELINES
+from repro.datalog.engine import (
+    PIPELINES,
+    REFRESH,
+    AnnotationPolicy,
+    Delta,
+    NDlogEngine,
+)
 from repro.datalog.parser import parse_program
 from repro.net import ring_topology
 from repro.protocols import (
@@ -182,13 +187,12 @@ class TestProvenanceEquivalence:
 
 
 class TestBatchedPipelineEquivalence:
-    """``batched`` and ``columnar`` vs ``delta``: byte-identical.
+    """``batched`` vs ``delta``: byte-identical.
 
-    The batched pipeline is the default; the legacy interpreter is retained
-    precisely so this sweep can prove the compiled/generated executors —
-    and the columnar batch kernels layered above them — change nothing but
-    wall-clock.  Every loop runs all of ``PIPELINES`` and every pipeline
-    must match the interpreter exactly.
+    The batched pipeline is the default; the interpreter is retained
+    precisely so this sweep can prove the compiled/generated executors
+    change nothing but wall-clock.  Every loop runs all of ``PIPELINES``
+    and every pipeline must match the interpreter exactly.
     """
 
     @pytest.mark.parametrize(
@@ -281,6 +285,24 @@ class TestBatchedPipelineEquivalence:
         for pipeline in PIPELINES:
             assert results[pipeline] == results["delta"], pipeline
 
+    def test_primary_key_replacement_inside_one_drained_run(self):
+        """PK updates drained in one batch evict exactly like per-delta."""
+        program_text = """
+            materialize(best, 2, keys(0)).
+            b1 best(@N,C) :- offer(@N,C).
+        """
+        states = {}
+        for pipeline in PIPELINES:
+            engine = NDlogEngine("n", parse_program(program_text), pipeline=pipeline)
+            for cost in (5, 3, 7):
+                engine.insert(Fact("offer", ("n", cost)))
+            engine.run()
+            states[pipeline] = {
+                name: engine.table_rows(name) for name in ("offer", "best")
+            }
+        assert states["batched"] == states["delta"]
+        assert len(states["batched"]["best"]) == 1  # PK replaced twice
+
     def test_equivalence_invariant_under_hash_seed(self):
         """Snapshot digests agree across pipelines AND across hash seeds."""
         script = (
@@ -290,7 +312,7 @@ class TestBatchedPipelineEquivalence:
             "from repro.protocols import pathvector_program\n"
             "from repro.net import ring_topology\n"
             "topology = ring_topology(6, seed=2)\n"
-            "for pipeline in ('batched', 'delta', 'columnar'):\n"
+            "for pipeline in ('batched', 'delta'):\n"
             "    net = StandaloneNetwork(topology.nodes,\n"
             "        rewrite_program(pathvector_program()), pipeline=pipeline)\n"
             "    for s, d, c in topology.link_facts():\n"
@@ -319,9 +341,9 @@ class TestBatchedPipelineEquivalence:
                 text=True,
                 check=True,
             ).stdout.split()
-            assert len(output) == 3
+            assert len(output) == 2
             digests.update(output)
-        # one digest: all three pipelines, all three hash seeds, same bytes
+        # one digest: both pipelines, all three hash seeds, same bytes
         assert len(digests) == 1
 
 
@@ -351,6 +373,15 @@ _PROPERTY_PROGRAM = """
     r1 mid(@S,D) :- red(@S,D).
     r2 mid(@S,D) :- blue(@S,D).
     r3 top(@S,D) :- mid(@S,D).
+"""
+
+#: A self-join (``red`` twice in one rule body) whose head also feeds
+#: ``red``: in-run deltas conflict with the tables they probe, the sharpest
+#: probe of batch-boundary bookkeeping.  Keys 0 and 1 map to the node's own
+#: address so joins chain through it.
+_SELF_JOIN_PROGRAM = """
+    j1 two(@S,D) :- red(@S,M), red(@M,D).
+    j2 red(@S,D) :- blue(@S,D).
 """
 
 _ops = st.lists(
@@ -386,8 +417,6 @@ class TestRandomInterleavings:
                 else:
                     # A refresh racing ahead of (or following) inserts; the
                     # annotation carries the op index via the fact itself.
-                    from repro.datalog.engine import Delta, REFRESH
-
                     engine.enqueue(
                         Delta(REFRESH, fact, frozenset({f"r:{relation}:{key}"}))
                     )
@@ -407,24 +436,16 @@ class TestRandomInterleavings:
 
     @settings(max_examples=40, deadline=None)
     @given(operations=_ops)
-    def test_columnar_equals_batched_with_self_join(self, operations):
-        """Columnar windowing on a self-join program, random interleavings.
-
-        The self-join (``link`` twice in one rule body) forces the columnar
-        segmenter into SEQUENTIAL mode — a rule reading the predicate its
-        own head writes means in-window deltas conflict, so each block must
-        replay one delta at a time.  Random insert/delete/refresh streams
-        over it are the sharpest probe of window-boundary bookkeeping.
-        """
-        program = parse_program(
-            """
-            j1 two(@S,D) :- red(@S,M), red(@M,D).
-            j2 red(@S,D) :- blue(@S,D).
-            """
-        )
+    def test_batched_equals_delta_with_self_join(self, operations):
+        """Random interleavings over a self-join agree across pipelines."""
         states = {}
-        for pipeline in ("batched", "columnar"):
-            engine = NDlogEngine("n", program, pipeline=pipeline)
+        for pipeline in PIPELINES:
+            engine = NDlogEngine(
+                "n",
+                parse_program(_SELF_JOIN_PROGRAM),
+                annotation_policy=_MergeCountPolicy(),
+                pipeline=pipeline,
+            )
             for action, relation, key in operations:
                 fact = Fact(relation, ("n", f"d{key % 2}" if key > 1 else "n"))
                 if action == "insert":
@@ -432,18 +453,20 @@ class TestRandomInterleavings:
                 elif action == "delete":
                     engine.delete(fact)
                 else:
-                    from repro.datalog.engine import Delta, REFRESH
-
-                    engine.enqueue(Delta(REFRESH, fact))
+                    engine.enqueue(
+                        Delta(REFRESH, fact, frozenset({f"r:{relation}:{key}"}))
+                    )
                 engine.run()
-            states[pipeline] = (
-                {
-                    name: engine.table_rows(name)
-                    for name in ("red", "blue", "two")
-                },
-                dict(engine.stats),
-            )
-        assert states["columnar"] == states["batched"]
+            tables = {
+                name: engine.table_rows(name) for name in ("red", "blue", "two")
+            }
+            annotations = {
+                (name, row): engine.annotation_of(Fact(name, row))
+                for name in tables
+                for row in tables[name]
+            }
+            states[pipeline] = (tables, annotations, dict(engine.stats))
+        assert states["batched"] == states["delta"]
 
 
 class TestScanReduction:
