@@ -16,9 +16,8 @@ value object with documented defaults:
   canonical JSON form the always-on query service uses to describe the
   network it hosts over the wire.
 
-``ExspanNetwork(topology, program, mode=..., planner=...)`` still works
-through a deprecation shim that assembles the equivalent config (and warns
-once per call site); new code should pass ``config=ExspanConfig(...)``.
+``ExspanNetwork(topology, program, config=ExspanConfig(...))`` is the one
+way to build a network.
 """
 
 from __future__ import annotations
@@ -82,8 +81,8 @@ class ExspanConfig:
         (``"bdd"`` or ``"polynomial"``);
         ``collector`` — collector node for centralized mode (defaults to
         the topology's first node);
-        ``planner`` — rule planner (``None`` = process default,
-        ``"greedy"`` or ``"naive"``);
+        ``planner`` — rule planner (``None`` or ``"greedy"`` for the
+        cost-based planner, ``"naive"`` for nested-loop joins);
         ``pipeline`` — delta pipeline (``None`` or ``"batched"`` for the
         production path, ``"delta"`` for the reference interpreter; the
         two are bit-identical).
@@ -232,11 +231,6 @@ class ExspanConfig:
         if unknown:
             raise ProvenanceError(f"unknown ExspanConfig keys: {unknown}")
         return cls(**dict(payload))
-
-    @classmethod
-    def field_names(cls) -> Tuple[str, ...]:
-        """The config's field names (the legacy-kwarg shim's vocabulary)."""
-        return tuple(f.name for f in dataclasses.fields(cls))
 
 
 def freeze_addresses(addresses: Optional[Iterable[Any]]) -> Optional[Tuple[Any, ...]]:

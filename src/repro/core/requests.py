@@ -1,10 +1,9 @@
 """The consolidated public query API: typed requests, typed results.
 
-Until this layer existed the provenance engine had three in-process entry
-points (``register_query_spec`` / ``issue_query`` / ``query_provenance``)
-taking live :class:`~repro.core.query.QuerySpec` objects full of callables —
-unusable from outside the interpreter.  This module defines the one
-request/response surface everything now shares:
+Live :class:`~repro.core.query.QuerySpec` objects are full of callables
+and cannot leave the interpreter.  This module defines the one
+request/response surface that in-process callers, the wire protocol and
+the shell all share:
 
 * :class:`SpecDescriptor` — a declarative, JSON-serializable description of
   a query customization (kind + traversal + knobs).  ``build()`` maps it

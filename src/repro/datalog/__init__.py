@@ -1,9 +1,10 @@
 """NDlog: the declarative networking substrate used by ExSPAN.
 
 The package provides the language front end (:mod:`repro.datalog.parser`,
-:mod:`repro.datalog.ast`), builtin functions and aggregates, per-node storage
-(:mod:`repro.datalog.catalog`), and the pipelined semi-naive evaluation
-engine (:mod:`repro.datalog.engine`).
+:mod:`repro.datalog.ast`), builtin functions and aggregates, and the
+pipelined semi-naive evaluation engine (:mod:`repro.datalog.engine`).
+Per-node relation storage (:class:`Catalog`, :class:`Table`) lives in
+:mod:`repro.storage.memory`.
 """
 
 from .aggregates import AggregateState
@@ -17,7 +18,7 @@ from .ast import (
     TableDecl,
     is_event_predicate,
 )
-from .catalog import Catalog, Table
+from ..storage.memory import Catalog, Table
 from .engine import (
     DELETE,
     INSERT,
@@ -26,8 +27,6 @@ from .engine import (
     Delta,
     NDlogEngine,
     RuleFiring,
-    default_planner,
-    set_default_planner,
 )
 from .plan import (
     CostModel,
@@ -80,8 +79,6 @@ __all__ = [
     "Delta",
     "NDlogEngine",
     "RuleFiring",
-    "default_planner",
-    "set_default_planner",
     "CostModel",
     "GreedyOptimizer",
     "IndexManager",

@@ -1,7 +1,7 @@
 """Per-node NDlog evaluation engine (batched pipelined semi-naive evaluation).
 
 Each network node runs one :class:`NDlogEngine`.  The engine owns the node's
-:class:`~repro.datalog.catalog.Catalog` of materialized tables, a FIFO queue
+:class:`~repro.storage.memory.Catalog` of materialized tables, a FIFO queue
 of pending :class:`Delta` updates, and a compiled form of the NDlog program.
 
 Evaluation follows the pipelined semi-naive (PSN) strategy described in the
@@ -68,7 +68,7 @@ from .ast import (
     Rule,
     is_event_predicate,
 )
-from .catalog import Catalog, Table
+from ..storage.memory import Catalog, Table
 from .errors import EvaluationError, ValidationError
 from .functions import FunctionRegistry, default_registry
 from .plan import (
@@ -92,8 +92,6 @@ __all__ = [
     "REFRESH",
     "PLANNERS",
     "PIPELINES",
-    "default_planner",
-    "set_default_planner",
 ]
 
 #: Evaluation strategies: "greedy" routes deltas through compiled plans from
@@ -108,22 +106,6 @@ PLANNERS = ("greedy", "naive")
 #: kept as the equivalence reference and the "before" side of the batching
 #: benchmarks.  Results are bit-identical across both.
 PIPELINES = ("batched", "delta")
-
-_DEFAULT_PLANNER = "greedy"
-
-
-def default_planner() -> str:
-    """The strategy engines use when constructed without an explicit one."""
-    return _DEFAULT_PLANNER
-
-
-def set_default_planner(name: str) -> None:
-    """Set the process-wide default planner (experiment harness plumbing)."""
-    global _DEFAULT_PLANNER
-    if name not in PLANNERS:
-        raise ValueError(f"unknown planner {name!r}; expected one of {PLANNERS}")
-    _DEFAULT_PLANNER = name
-
 
 INSERT = "insert"
 DELETE = "delete"
@@ -270,7 +252,7 @@ class NDlogEngine:
         #: Never feeds :attr:`stats` — engine counters are part of the
         #: deterministic state digest and must not see tracing.
         self.tracer = None
-        self.planner = planner if planner is not None else default_planner()
+        self.planner = planner if planner is not None else "greedy"
         if self.planner not in PLANNERS:
             raise ValidationError(
                 f"unknown planner {self.planner!r}; expected one of {PLANNERS}"

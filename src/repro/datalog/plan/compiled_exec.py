@@ -988,7 +988,7 @@ def generate_one_step_executor(
         )
     )
     lines.append('    stats["tuples_scanned"] += scanned')
-    from ..catalog import freeze_value
+    from ...storage.memory import freeze_value
 
     _fill_runtime_namespace(namespace)
     namespace["_freeze"] = freeze_value
@@ -998,6 +998,6 @@ def generate_one_step_executor(
 
 
 def _frozen_const(value: Any) -> Any:
-    from ..catalog import freeze_value
+    from ...storage.memory import freeze_value
 
     return freeze_value(value)

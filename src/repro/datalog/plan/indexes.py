@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, Iterable, List, MutableMapping, Optional, Set, Tuple
 
-from ..catalog import Catalog
+from ...storage.memory import Catalog
 
 __all__ = ["IndexManager"]
 

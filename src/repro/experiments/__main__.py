@@ -10,7 +10,9 @@ Subcommands::
     python -m repro.experiments trace traces/TRACE_*.json
 
 ``run`` writes one schema-versioned artifact per scenario
-(``results/BENCH_<scenario>.json``); re-runs reuse trials whose stored
+(``results/BENCH_<scenario>.json``) and then prints, for every paper
+figure it ran, the reproduced table and the paper's qualitative shape
+checks (``[OK ]`` / ``[FAIL]`` lines).  Re-runs reuse trials whose stored
 fingerprint still matches (``--no-resume`` forces re-execution).  A run is
 deterministic: any ``--workers`` value produces byte-identical artifacts —
 and so does ``--trace``, which additionally writes one Perfetto-loadable
@@ -22,9 +24,6 @@ job runs it against the committed baselines under ``benchmarks/baselines/``.
 
 ``trace`` validates captured trace files against the Chrome trace-event
 schema and prints their flamegraph-style phase summaries.
-
-The legacy per-figure report (tables plus the paper's qualitative shape
-checks) remains available as ``python -m repro.experiments.runner``.
 """
 
 from __future__ import annotations
@@ -43,11 +42,14 @@ from ..obs.export import (
 from .orchestrator import (
     DEFAULT_RESULTS_DIR,
     compare,
+    figure_result_from_artifact,
+    load_artifact,
     run,
     strict_compare,
     wall_clock_report,
 )
-from .scenarios import SCENARIOS
+from .reporting import render_report
+from .scenarios import SCENARIOS, get_scenario
 
 __all__ = ["main"]
 
@@ -90,6 +92,14 @@ def _cmd_run(arguments: argparse.Namespace) -> int:
         print(f"run: error: {error.args[0] if error.args else error}")
         return 2
     print(report.render())
+    figures = [
+        figure_result_from_artifact(load_artifact(path))
+        for name, path in zip(report.scenarios, report.artifacts)
+        if get_scenario(name).figure is not None
+    ]
+    if figures:
+        print()
+        print(render_report(figures))
     return 0
 
 

@@ -1,9 +1,11 @@
 """Result containers and formatting for the experiment harness.
 
-Every figure runner in :mod:`repro.experiments.figures` returns a
-:class:`FigureResult`: a set of named series (one per curve in the paper's
-figure) plus enough metadata to print a readable table.  The harness prints
-these rows; EXPERIMENTS.md records the comparison against the paper.
+Every figure scenario assembles into a :class:`FigureResult` (see
+:func:`repro.experiments.scenarios.run_figure`): a set of named series (one
+per curve in the paper's figure) plus enough metadata to print a readable
+table.  ``python -m repro.experiments run`` prints these rows with the
+paper's shape checks; EXPERIMENTS.md records the comparison against the
+paper.
 """
 
 from __future__ import annotations

@@ -305,5 +305,5 @@ def make_churn(
         links_per_round=links_per_round,
         interval=interval,
         seed=seed,
-        link_cost=network.link_cost,
+        link_cost=network.config.link_cost,
     )

@@ -63,7 +63,7 @@ async def _amain(args: argparse.Namespace) -> int:
     loop = asyncio.get_running_loop()
     for signum in (signal.SIGINT, signal.SIGTERM):
         with contextlib.suppress(NotImplementedError):
-            loop.add_signal_handler(signum, lambda: asyncio.ensure_future(server.stop()))
+            loop.add_signal_handler(signum, server.stop)
     await server.serve_until_stopped()
     return 0
 

@@ -114,7 +114,7 @@ class ExspanService:
         return {
             "topology": getattr(network.topology, "name", None),
             "node_count": network.node_count,
-            "mode": MODE_NAMES[network.mode],
+            "mode": MODE_NAMES[network.config.mode],
             "config": network.config.to_dict(),
             "now": network.now,
             "events_executed": network.simulator.events_executed,
@@ -330,7 +330,8 @@ class ServiceServer:
         await self._stopping.wait()
         await self._drain()
 
-    async def stop(self) -> None:
+    def stop(self) -> None:
+        """Begin a graceful shutdown; call on the server's event-loop thread."""
         self._stopping.set()
 
     async def _drain(self) -> None:
@@ -536,7 +537,12 @@ class ServiceThread:
     def stop(self, timeout: float = 30.0) -> None:
         loop, server = self._loop, self._server
         if loop is not None and server is not None and self._thread.is_alive():
-            asyncio.run_coroutine_threadsafe(server.stop(), loop)
+            try:
+                loop.call_soon_threadsafe(server.stop)
+            except RuntimeError:
+                # A client's shutdown request already closed the loop: the
+                # server is stopping on its own.
+                pass
         self._thread.join(timeout=timeout)
 
     def __enter__(self) -> "ServiceThread":

@@ -3,9 +3,8 @@
 This package owns tuple storage for the whole system:
 
 * :mod:`repro.storage.memory` — the interned-row :class:`Table` /
-  :class:`Catalog` machinery (formerly ``repro.datalog.catalog``, which
-  re-exports it for compatibility) plus :class:`MemoryBackend`, the
-  default backend that adds nothing on top of the in-RAM tier;
+  :class:`Catalog` machinery plus :class:`MemoryBackend`, the default
+  backend that adds nothing on top of the in-RAM tier;
 * :mod:`repro.storage.backend` — the :class:`StorageBackend` interface,
   spec parsing (``"memory"`` / ``"sqlite"`` / ``"sqlite:<path>"``) and
   the process-wide default knob (:func:`default_storage` /
@@ -21,10 +20,10 @@ fingerprinted, and results are byte-identical under
 any backend.
 """
 
-# Imported first to break the import cycle with repro.datalog: its catalog
-# module re-exports repro.storage.memory, so whichever package is imported
-# first must let the other finish loading the memory tier (see trace in
-# the module docstrings).
+# Imported first to break the import cycle with repro.datalog: its engine
+# and planner import repro.storage.memory, which imports the datalog AST,
+# so whichever package is imported first must let the other finish
+# loading the memory tier.
 from .. import datalog as _datalog  # noqa: F401
 
 from .backend import (

@@ -75,9 +75,10 @@ def validate_storage_spec(spec: str) -> str:
     return spec
 
 
-# Process-wide default, mirroring ``default_planner``/``set_default_planner``
-# in the engine: CLI layers set it once per process (and per pool worker) so
-# trial functions never carry the knob in their fingerprinted kwargs.
+# Process-wide default, like the shard and fault-plan defaults in
+# ``repro.experiments.trials``: CLI layers set it once per process (and per
+# pool worker) so trial functions never carry the knob in their
+# fingerprinted kwargs.
 _DEFAULT_STORAGE = "memory"
 
 

@@ -26,8 +26,7 @@ equality checks on those structures identity hits.  The pool only holds
 live rows (entries are dropped when the last derivation disappears), so its
 memory is bounded by the table's current cardinality.
 
-This module is the storage engine's in-RAM tier.  It used to live at
-``repro.datalog.catalog``, which now re-exports it; every backend —
+This module is the storage engine's in-RAM tier.  Every backend —
 including the persistent ones — keeps this tier as the authoritative copy
 consulted by evaluation, and :class:`MemoryBackend` is the backend that
 adds nothing on top of it.

@@ -20,13 +20,13 @@ from repro.experiments import (
     unregister,
 )
 from repro.experiments.__main__ import main as cli_main
-from repro.experiments.figures import figure_17_testbed_fixpoint
 from repro.experiments.orchestrator import (
     SCHEMA_VERSION,
     artifact_path,
     canonical_artifact_bytes,
     compare,
     dump_artifact,
+    figure_result_from_artifact,
     load_artifact,
     run,
     strict_compare,
@@ -79,10 +79,8 @@ class TestRegistry:
         scenario = get_scenario("fig09_mincost_churn")
         with pytest.raises(TypeError, match="links_per_rounds"):
             scenario.params("quick", {"links_per_rounds": 8})  # typo
-        from repro.experiments.figures import figure_09_mincost_churn
-
         with pytest.raises(TypeError):
-            figure_09_mincost_churn(links_per_rounds=8)
+            run_figure("fig09_mincost_churn", links_per_rounds=8)
 
     def test_override_keys_match_what_expansion_consumes(self):
         # Mode-sweeping scenarios take modes/planner overrides...
@@ -107,11 +105,6 @@ class TestRegistry:
             get_scenario("no_such_scenario")
         with pytest.raises(KeyError):
             scenario_for_figure("99")
-
-    def test_run_figure_matches_wrapper(self):
-        direct = run_figure("fig17_testbed_fixpoint", sizes=(6,))
-        wrapped = figure_17_testbed_fixpoint(sizes=(6,))
-        assert direct.render() == wrapped.render()
 
 
 # ---------------------------------------------------------------------- #
@@ -222,6 +215,12 @@ class TestOrchestratorRun:
         assert all("planner" not in t["kwargs"] for t in artifact["trials"])
         # The artifact must not claim a planner that never applied.
         assert "planner" not in artifact["params"]
+
+    def test_figure_result_from_artifact_matches_run_figure(self, tiny_scenario, tmp_path):
+        run([tiny_scenario.name], results_dir=str(tmp_path))
+        artifact = load_artifact(artifact_path(str(tmp_path), tiny_scenario.name))
+        rebuilt = figure_result_from_artifact(artifact)
+        assert rebuilt.render() == run_figure(tiny_scenario.name).render()
 
     def test_figure_number_selector(self, tiny_scenario, tmp_path):
         report = run(["17"], results_dir=str(tmp_path))

@@ -8,7 +8,10 @@ derivation order) are identical to the same queries executed serially
 in-process on an identically constructed network.
 """
 
+import asyncio
+import gc
 import threading
+import warnings
 
 import pytest
 
@@ -18,6 +21,7 @@ from repro.core.requests import QueryRequest, QueryResult, SpecDescriptor
 from repro.net.topology import ring_topology
 from repro.protocols.mincost import mincost_program
 from repro.service import ServiceClient, ServiceThread
+from repro.service.server import ExspanService, ServiceServer
 
 SPECS = [
     SpecDescriptor(kind="polynomial"),
@@ -214,3 +218,29 @@ def test_graceful_shutdown_drains():
     service.stop()
     with pytest.raises(OSError):
         ServiceClient(*service.address, timeout=2)
+
+
+def test_stop_after_loop_closed_neither_raises_nor_warns():
+    """stop() racing a client's shutdown: the loop is closed, the thread lives.
+
+    A client's shutdown lets the service thread close its event loop while
+    the thread has not yet exited; stop() must treat that as "already
+    stopping" instead of raising or orphaning a coroutine.
+    """
+    network = _network()
+    service = ServiceThread(network)
+    release = threading.Event()
+    service._thread = threading.Thread(target=release.wait, daemon=True)
+    service._thread.start()
+    loop = asyncio.new_event_loop()
+    loop.close()
+    service._loop = loop
+    service._server = ServiceServer(ExspanService(network))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            service.stop(timeout=0.01)
+            gc.collect()
+    finally:
+        release.set()
+        service._thread.join()
