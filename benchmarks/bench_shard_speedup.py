@@ -46,7 +46,7 @@ from repro.experiments.trials import MODE_KEYS, PROGRAM_FACTORIES, scale_topolog
 from repro.net.sharding import ShardedExspanNetwork, collect_digest, collect_summary
 
 DEFAULT_SIZE = 512
-DEFAULT_SHARDS = (1, 2, 4)
+SHARD_COUNTS = (1, 2, 4)
 #: Full per-node digests are compared up to this size (they are large).
 DIGEST_MAX_SIZE = 128
 #: The deterministic acceptance bar at >= 4 shards on the default workload.
@@ -64,13 +64,10 @@ def run_once(
     topology = scale_topology(size, seed)
     program_factory = PROGRAM_FACTORIES[program]
     gc.collect()
+    config = ExspanConfig(mode=MODE_KEYS[mode], seed=seed)
     started = time.perf_counter()
     if shards <= 1:
-        network = ExspanNetwork(
-            topology,
-            program_factory(),
-            config=ExspanConfig(mode=MODE_KEYS[mode], seed=seed),
-        )
+        network = ExspanNetwork(topology, program_factory(), config=config)
         network.seed_links()
         network.run_to_fixpoint()
         elapsed = time.perf_counter() - started
@@ -81,7 +78,7 @@ def run_once(
         parallelism: Dict[str, Any] = {}
     else:
         with ShardedExspanNetwork(
-            topology, program_factory(), mode=MODE_KEYS[mode], shards=shards, seed=seed
+            topology, program_factory(), config, shards=shards
         ) as sharded:
             sharded.seed_links()
             sharded.run_to_fixpoint()
@@ -178,7 +175,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("size", nargs="?", type=int, default=DEFAULT_SIZE,
                         help=f"topology size in nodes (default {DEFAULT_SIZE})")
-    parser.add_argument("--shards", type=int, nargs="+", default=list(DEFAULT_SHARDS),
+    parser.add_argument("--shards", type=int, nargs="+", default=list(SHARD_COUNTS),
                         help="shard counts to sweep (default: 1 2 4)")
     parser.add_argument("--program", choices=sorted(PROGRAM_FACTORIES), default="pathvector")
     parser.add_argument("--mode", choices=sorted(MODE_KEYS), default="ref")

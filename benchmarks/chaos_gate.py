@@ -101,18 +101,14 @@ def _serial_digest(program, plan):
 
 
 def _sharded_digest(program, plan, supervise=False):
-    from repro.core.modes import ProvenanceMode
-    from repro.experiments.trials import chaos_topology
     from repro.net.sharding import ScriptOp, ShardedExspanNetwork
 
-    topology = chaos_topology(SIZE, seed=0)
-    _, resolved, _ = _build(program)
+    topology, resolved, network = _build(program)
     with ShardedExspanNetwork(
         topology,
         resolved,
-        mode=ProvenanceMode.REFERENCE,
+        network.config,
         shards=2,
-        seed=0,
         faults=plan,
         supervise=supervise,
     ) as sharded:

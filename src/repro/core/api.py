@@ -46,14 +46,14 @@ from ..net.network import Network
 from ..net.simulator import Simulator
 from ..net.topology import LinkSpec, Topology
 from ..obs import runtime as obs_runtime
-from .config import ExspanConfig
+from .config import ExspanConfig, coerce_config
 from .errors import ProvenanceError, QueryTimeoutError
 from .modes import PreparedProgram, ProvenanceMode, prepare_program
 from .provenance_graph import ProvenanceGraph, build_global_graph
 from .query import ProvenanceQueryService, QueryOutcome, QuerySpec
 from .requests import QueryRequest, QueryResult, SpecDescriptor
 from .storage import ProvenanceStore
-from ..storage.backend import StorageBackend, default_storage, make_backend, parse_storage_spec
+from ..storage.backend import StorageBackend, make_backend, parse_storage_spec
 from .vid import fact_vid
 
 __all__ = ["ExspanNode", "ExspanNetwork", "DELTA_MESSAGE_KIND"]
@@ -87,7 +87,7 @@ class ExspanNetwork:
 
         ``config`` carries every construction knob (see
         :class:`~repro.core.config.ExspanConfig`); omitting it uses the
-        documented defaults.
+        documented defaults; any other value is a ``TypeError``.
 
         ``tracer`` stays a direct keyword because it is runtime wiring,
         not configuration: it installs an observability tracer across the
@@ -97,8 +97,7 @@ class ExspanNetwork:
         automatically.  Tracing never perturbs results: fixpoints, VIDs,
         counters and traffic bytes are identical with it on or off.
         """
-        if config is None:
-            config = ExspanConfig()
+        config = coerce_config(config)
         self.config = config
         self.topology = topology
         self._rng = random.Random(config.seed)
@@ -147,13 +146,13 @@ class ExspanNetwork:
     # ------------------------------------------------------------------ #
     @staticmethod
     def _resolve_storage_spec(config: ExspanConfig) -> str:
-        """The storage spec this instance uses (config first, else process default).
+        """The storage spec this instance uses (``None`` in the config means memory).
 
         A sharded worker with an explicit sqlite path gets a per-shard
         suffix (``<path>.shard<N>``) so forked processes never contend on
         one WAL; the whole-network restore helpers reassemble per shard.
         """
-        spec = config.storage if config.storage is not None else default_storage()
+        spec = config.storage or "memory"
         kind, path = parse_storage_spec(spec)
         if (
             kind == "sqlite"

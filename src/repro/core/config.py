@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from .errors import ProvenanceError
 from .modes import ProvenanceMode
 
-__all__ = ["ExspanConfig", "coerce_mode", "MODE_NAMES"]
+__all__ = ["ExspanConfig", "coerce_config", "coerce_mode", "MODE_NAMES"]
 
 #: Canonical short names for provenance modes (the JSON wire form).
 MODE_NAMES: Dict[ProvenanceMode, str] = {
@@ -108,9 +108,8 @@ class ExspanConfig:
         one shard of a larger simulation (see :mod:`repro.net.sharding`).
 
     Storage
-        ``storage`` — storage backend spec (``None`` = process default,
-        ``"memory"``, ``"sqlite"``, or ``"sqlite:<path>"``).  An
-        execution-environment knob like ``--shards``: results are
+        ``storage`` — storage backend spec (``None`` = ``"memory"``,
+        ``"memory"``, ``"sqlite"``, or ``"sqlite:<path>"``).  Results are
         byte-identical under any backend, and the spec is only emitted
         in :meth:`to_dict` when explicitly set.
     """
@@ -233,6 +232,18 @@ class ExspanConfig:
         return cls(**dict(payload))
 
 
-def freeze_addresses(addresses: Optional[Iterable[Any]]) -> Optional[Tuple[Any, ...]]:
-    """Normalize an optional address iterable to a tuple (or ``None``)."""
-    return None if addresses is None else tuple(addresses)
+def coerce_config(config: Any) -> ExspanConfig:
+    """*config* itself, or the defaults for ``None``; anything else is a TypeError.
+
+    Catches the positional slip ``ExspanNetwork(topology, program,
+    ProvenanceMode.NONE)`` at the call, not as an ``AttributeError`` deep
+    inside network bootstrap.
+    """
+    if config is None:
+        return ExspanConfig()
+    if not isinstance(config, ExspanConfig):
+        raise TypeError(
+            f"config must be an ExspanConfig or None, got {type(config).__name__} "
+            f"{config!r}"
+        )
+    return config

@@ -4,7 +4,9 @@ The declarative scenario registry (:mod:`repro.experiments.scenarios`)
 describes every sweep; the orchestrator
 (:mod:`repro.experiments.orchestrator`, CLI ``python -m repro.experiments
 run|list|compare``) fans the independent trials across a process pool and
-writes versioned ``BENCH_*.json`` artifacts with a CI regression gate.
+writes versioned ``BENCH_*.json`` artifacts with a CI regression gate;
+:class:`ExecutionEnv` says how a run executes (shards, storage, fault
+plan, trace directory) without entering any trial's fingerprint.
 ``run`` also prints each figure's table with the paper's shape checks,
 and :func:`run_figure` runs one scenario in-process and returns its
 :class:`FigureResult`.  See :mod:`repro.experiments.trials` for the atomic
@@ -28,11 +30,12 @@ from .scenarios import (
     scenario_for_figure,
     unregister,
 )
-from .trials import MODE_LABELS, build_network
+from .trials import MODE_LABELS, ExecutionEnv, build_network
 from .workloads import PacketWorkload, QueryWorkload, make_churn
 
 __all__ = [
     "MODE_LABELS",
+    "ExecutionEnv",
     "build_network",
     "FigureResult",
     "Series",

@@ -50,6 +50,7 @@ from .orchestrator import (
 )
 from .reporting import render_report
 from .scenarios import SCENARIOS, get_scenario
+from .trials import ExecutionEnv
 
 __all__ = ["main"]
 
@@ -74,6 +75,18 @@ def _cmd_run(arguments: argparse.Namespace) -> int:
         print("run: select scenarios (names or figure numbers) or pass --all")
         return 2
     try:
+        # Built (and so validated) before any trial runs: a bad --shards,
+        # --storage or --faults value is an error line, not a traceback.
+        env = ExecutionEnv(
+            shards=arguments.shards,
+            storage=arguments.storage,
+            faults=arguments.faults,
+            trace_dir=arguments.trace,
+        )
+    except ValueError as error:
+        print(f"run: error: {error}")
+        return 2
+    try:
         report = run(
             names,
             scale="paper" if arguments.paper else "quick",
@@ -81,11 +94,8 @@ def _cmd_run(arguments: argparse.Namespace) -> int:
             results_dir=arguments.results_dir,
             resume=not arguments.no_resume,
             planner=arguments.planner,
-            shards=arguments.shards,
             verbose=arguments.verbose,
-            trace_dir=arguments.trace,
-            storage=arguments.storage,
-            faults=arguments.faults,
+            env=env,
         )
     except KeyError as error:
         # Unknown scenario name / figure number: an error line, not a trace.
@@ -208,26 +218,31 @@ def build_parser() -> argparse.ArgumentParser:
         help="force an NDlog evaluation strategy into every trial",
     )
     run_parser.add_argument(
-        "--shards", type=int, default=None,
-        help="default worker-shard count for shard-capable trials (the "
-        "sharded engine is bit-identical to serial, so artifacts are "
-        "byte-identical for any value — CI exploits that as a gate)",
+        "--shards", type=int, default=1,
+        help="worker-shard count for shard-capable trials that leave their "
+        "own shards unset (default 1 = serial; the sharded engine is "
+        "bit-identical to serial, so artifacts are byte-identical for any "
+        "value — CI exploits that as a gate)",
     )
     run_parser.add_argument(
-        "--storage", default=None, metavar="SPEC",
-        help="default storage backend for every trial (memory, sqlite or "
-        "sqlite:<path>; every backend is byte-identical by contract, so "
-        "artifacts match the committed baselines under any choice — the "
-        "CI durability gate strict-compares a sqlite run against them)",
+        "--storage", default="memory", metavar="SPEC",
+        help="storage backend for every trial network (memory, sqlite or "
+        "sqlite:<path>; default memory; planner_fixpoint's instant-delivery "
+        "networks have none; every backend is byte-identical "
+        "by contract, so artifacts match the committed baselines under any "
+        "choice — the CI durability gate strict-compares a sqlite run "
+        "against them)",
     )
     run_parser.add_argument(
         "--faults", default=None, metavar="PLAN",
         help="inject a fault plan (parse_fault_spec grammar, e.g. "
-        "'seed=3; drop:*->*:p=0.2,n=20') into every trial network; "
-        "final protocol tables still converge, but traffic counters are "
-        "perturbed, so never compare faulted artifacts against the "
-        "committed baselines — the CI chaos gate checks convergence "
-        "digests instead (benchmarks/chaos_gate.py)",
+        "'seed=3; drop:*->*:p=0.2,n=20') into the networks of every trial "
+        "except query_concurrency, planner_fixpoint and chaos_convergence, "
+        "which build their own (chaos_convergence takes its plan as a trial "
+        "kwarg); final protocol tables still converge, but "
+        "traffic counters are perturbed, so never compare faulted "
+        "artifacts against the committed baselines — the CI chaos gate "
+        "checks convergence digests instead (benchmarks/chaos_gate.py)",
     )
     run_parser.add_argument(
         "--trace", nargs="?", const="traces", default=None, metavar="DIR",

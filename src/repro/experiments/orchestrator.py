@@ -27,6 +27,7 @@ Three properties the CI regression gate depends on:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import inspect
 import json
@@ -45,7 +46,7 @@ from .scenarios import (
     resolve_scenarios,
     run_trial_spec,
 )
-from .trials import TRIAL_FUNCTIONS, set_default_faults, set_default_shards
+from .trials import TRIAL_FUNCTIONS, ExecutionEnv
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -195,32 +196,6 @@ def _fresh_results(
     }
 
 
-#: Per-process trace output directory; ``None`` disables tracing.  Set by
-#: :func:`_configure_worker` (pool initializer) or directly by :func:`run`
-#: for the in-process path.  Like the ``shards`` default it deliberately
-#: never enters trial kwargs or fingerprints: tracing must not change what
-#: a trial *is*, only what it additionally emits.
-_TRACE_DIR: Optional[str] = None
-
-
-def _configure_worker(
-    shards: int,
-    trace_dir: Optional[str],
-    storage: Optional[str] = None,
-    faults: Optional[str] = None,
-) -> None:
-    """Process-pool initializer: shard count, trace dir, storage, faults."""
-    global _TRACE_DIR
-    set_default_shards(shards)
-    if storage is not None:
-        from ..storage.backend import set_default_storage
-
-        set_default_storage(storage)
-    if faults is not None:
-        set_default_faults(faults)
-    _TRACE_DIR = trace_dir
-
-
 def _trace_filename(scenario: str, trial_id: str) -> str:
     safe = "".join(
         ch if ch.isalnum() or ch in "-_." else "-" for ch in f"{scenario}_{trial_id}"
@@ -228,22 +203,25 @@ def _trace_filename(scenario: str, trial_id: str) -> str:
     return f"TRACE_{safe}.json"
 
 
-def _run_task(task: Tuple[str, str, str, Dict[str, Any]]) -> Dict[str, Any]:
-    """Worker entry point: run one trial spec (must stay module-level).
+def _run_task(
+    task: Tuple[str, str, str, Dict[str, Any]], env: ExecutionEnv
+) -> Dict[str, Any]:
+    """Worker entry point: run one trial spec under *env* (must stay module-level).
 
-    Returns ``{"result": ..., "wall_seconds": ...}``; the wall-clock is
-    advisory (see :data:`ADVISORY_TRIAL_KEYS`).  When a trace directory is
-    configured, the trial runs under a process-wide trace session, its
-    Chrome trace is written to ``TRACE_<scenario>_<trial>.json`` and the
-    per-phase wall breakdown is returned under the advisory ``"phases"``
-    key.
+    *env* is current only while the trial runs, so nothing outlives the
+    task.  Returns ``{"result": ..., "wall_seconds": ...}``; the
+    wall-clock is advisory (see :data:`ADVISORY_TRIAL_KEYS`).  When the
+    env names a trace directory, the trial runs under a process-wide
+    trace session, its Chrome trace is written to
+    ``TRACE_<scenario>_<trial>.json`` and the per-phase wall breakdown is
+    returned under the advisory ``"phases"`` key.
     """
     scenario, trial_id, fn, kwargs = task
-    trace_dir = _TRACE_DIR
-    session = enable_tracing() if trace_dir is not None else None
+    session = enable_tracing() if env.trace_dir is not None else None
     started = time.perf_counter()
     try:
-        result = run_trial_spec(TrialSpec(scenario, trial_id, fn, kwargs))
+        with env.installed():
+            result = run_trial_spec(TrialSpec(scenario, trial_id, fn, kwargs))
     finally:
         if session is not None:
             disable_tracing()
@@ -253,9 +231,9 @@ def _run_task(task: Tuple[str, str, str, Dict[str, Any]]) -> Dict[str, Any]:
     }
     if session is not None:
         outcome["phases"] = phase_breakdown(session.phase_aggregates())
-        os.makedirs(trace_dir, exist_ok=True)
+        os.makedirs(env.trace_dir, exist_ok=True)
         write_chrome_trace(
-            os.path.join(trace_dir, _trace_filename(scenario, trial_id)),
+            os.path.join(env.trace_dir, _trace_filename(scenario, trial_id)),
             session.span_records(),
         )
     return outcome
@@ -295,11 +273,8 @@ def run(
     results_dir: str = DEFAULT_RESULTS_DIR,
     resume: bool = True,
     planner: Optional[str] = None,
-    shards: Optional[int] = None,
     verbose: bool = False,
-    trace_dir: Optional[str] = None,
-    storage: Optional[str] = None,
-    faults: Optional[str] = None,
+    env: ExecutionEnv = ExecutionEnv(),
 ) -> RunReport:
     """Run scenarios and write one ``BENCH_<scenario>.json`` per scenario.
 
@@ -307,44 +282,21 @@ def run(
     ``planner`` forces an evaluation strategy into every trial whose
     function takes one and does not already sweep it (it becomes part of
     the trial fingerprints, so planner-forced artifacts never alias
-    default ones).  ``shards`` sets the process-wide default worker-shard
-    count for shard-capable trials; unlike ``planner`` it deliberately does
-    **not** enter kwargs or fingerprints, because the sharded engine is
-    bit-identical to the serial one — artifacts produced under any
-    ``shards`` value must match byte for byte, which is how CI verifies
-    the engine's determinism guarantee against the committed baselines.
-    ``trace_dir`` mirrors ``shards``: it enables span tracing for every
-    executed trial, writes one Chrome trace per trial into the directory
-    and adds the advisory per-trial ``"phases"`` breakdown — while the
-    artifacts stay byte-identical to an untraced run (that identity is the
-    tracing subsystem's own CI gate).  Resumed trials were not executed,
-    so they carry no trace or phases; pass ``resume=False`` to capture a
-    complete trace set.  With ``resume`` (the default), trials whose
-    stored fingerprint still matches are reused from the existing artifact
+    default ones).  With ``resume`` (the default), trials whose stored
+    fingerprint still matches are reused from the existing artifact
     instead of re-executed.
-    ``storage`` also follows the ``shards`` convention: it sets the
-    process-wide default storage backend (``"memory"``, ``"sqlite"`` or
-    ``"sqlite:<path>"``) without entering kwargs or fingerprints — every
-    backend is byte-identical by contract, and the CI durability gate
-    re-runs a scenario under ``storage="sqlite"`` and strict-compares the
-    artifact against the committed memory-backend baselines.
-    ``faults`` is the one knob that deliberately breaks the byte-identity
-    convention: it installs a process-wide fault plan (a
-    ``parse_fault_spec`` string) into every trial network, perturbing the
-    message-level traffic counters — so faulted artifacts are for chaos
-    experimentation, never for comparing against the committed baselines.
-    The invariant faults *do* preserve is convergence of the final
-    protocol tables, which ``benchmarks/chaos_gate.py`` gates by digest.
-    """
-    global _TRACE_DIR
-    if shards is not None:
-        set_default_shards(shards)
-    if storage is not None:
-        from ..storage.backend import set_default_storage
 
-        set_default_storage(storage)
-    if faults is not None:
-        set_default_faults(faults)
+    ``env`` is the :class:`~repro.experiments.trials.ExecutionEnv` every
+    executed trial runs under, in this process or in a pool worker (its
+    docstring gives each field's byte-identity contract).  It is current
+    only for the duration of each task, so a later ``run`` in the same
+    process starts from a clean slate, and it never enters kwargs or
+    fingerprints.  With ``env.trace_dir`` set, every executed trial
+    writes one Chrome trace into the directory and carries the advisory
+    ``"phases"`` breakdown; resumed trials were not executed, so they
+    carry neither — pass ``resume=False`` to capture a complete trace
+    set.
+    """
     scenarios = resolve_scenarios(names)
     report = RunReport(scale=scale, workers=workers)
 
@@ -396,25 +348,12 @@ def run(
 
     executed: Dict[Tuple[str, str], Dict[str, Any]] = {}
     if pending:
+        run_one = functools.partial(_run_task, env=env)
         if workers > 1 and len(pending) > 1:
-            with ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_configure_worker,
-                initargs=(
-                    shards if shards is not None else 1,
-                    trace_dir,
-                    storage,
-                    faults,
-                ),
-            ) as pool:
-                results = list(pool.map(_run_task, pending, chunksize=1))
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(run_one, pending, chunksize=1))
         else:
-            previous_trace_dir = _TRACE_DIR
-            _TRACE_DIR = trace_dir
-            try:
-                results = [_run_task(task) for task in pending]
-            finally:
-                _TRACE_DIR = previous_trace_dir
+            results = [run_one(task) for task in pending]
         for task, result in zip(pending, results):
             executed[(task[0], task[1])] = result
         report.executed = len(pending)

@@ -26,7 +26,10 @@ to the paper's legend labels here.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+import contextlib
+import contextvars
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..core.api import DELTA_MESSAGE_KIND, ExspanNetwork
 from ..core.config import ExspanConfig
@@ -39,6 +42,7 @@ from ..core.modes import ProvenanceMode
 from ..core.query import TraversalOrder
 from ..datalog import Fact, StandaloneNetwork
 from ..datalog.ast import Program
+from ..faults.plan import parse_fault_spec
 from ..net.sharding import ScriptOp, ShardedExspanNetwork, collect_summary
 from ..net.stats import cdf_points
 from ..net.topology import (
@@ -52,6 +56,7 @@ from ..net.topology import (
 from ..protocols.mincost import mincost_program
 from ..protocols.packetforward import packetforward_program
 from ..protocols.pathvector import pathvector_program
+from ..storage.backend import StorageError, validate_storage_spec
 from .workloads import BurstQueryWorkload, PacketWorkload, QueryWorkload, make_churn
 
 __all__ = [
@@ -59,11 +64,9 @@ __all__ = [
     "MODE_LABELS",
     "PROGRAM_FACTORIES",
     "TRIAL_FUNCTIONS",
+    "ExecutionEnv",
+    "current_env",
     "build_network",
-    "set_default_shards",
-    "resolve_shards",
-    "set_default_faults",
-    "resolve_faults",
     "fixpoint_summary",
     "size_topology",
     "scale_topology",
@@ -109,6 +112,79 @@ PROGRAM_FACTORIES: Dict[str, Callable[..., Program]] = {
 }
 
 
+@dataclass(frozen=True)
+class ExecutionEnv:
+    """How trials execute, never what they measure.
+
+    ``shards`` — worker-process count for shard-capable trials that leave
+    their own ``shards`` kwarg unset (``1`` = serial, in process);
+    ``storage`` — the storage backend spec every trial network is built
+    with (``"memory"``, ``"sqlite"`` or ``"sqlite:<path>"``);
+    ``faults`` — a :func:`~repro.faults.plan.parse_fault_spec` plan
+    installed into the networks :func:`build_network` and
+    :func:`fixpoint_summary` build, or ``None``; ``trace_dir`` — where
+    the orchestrator writes one Chrome trace per executed trial, or
+    ``None`` for untraced runs.
+
+    Like ``PYTHONHASHSEED``, the env is never part of a trial's kwargs or
+    fingerprint.  Shards, storage and tracing are byte-identity
+    preserving: the sharded engine is bit-identical to the serial one and
+    every backend is result-invariant, so artifacts produced under any
+    such env are byte-identical, which CI checks against the committed
+    baselines.  ``faults`` deliberately is not: retransmits and duplicate
+    suppression change the message-level counters, so faulted artifacts
+    are never compared against the baselines; what a quiescing plan
+    preserves is convergence of the final tables, which
+    ``benchmarks/chaos_gate.py`` checks by digest.
+
+    Every value is validated here, so a bad one fails before any trial
+    runs.  :meth:`installed` makes the env current for a block (the
+    orchestrator wraps each task in it); :func:`current_env` reads it.
+    """
+
+    shards: int = 1
+    storage: str = "memory"
+    faults: Optional[str] = None
+    trace_dir: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.shards, int) or isinstance(self.shards, bool) or self.shards < 1:
+            raise ValueError(f"shards must be a positive int, got {self.shards!r}")
+        try:
+            validate_storage_spec(self.storage)
+        except StorageError as error:
+            raise ValueError(str(error)) from None
+        object.__setattr__(self, "faults", self.faults or None)
+        if self.faults is not None:
+            try:
+                parse_fault_spec(self.faults)
+            except ValueError as error:
+                raise ValueError(f"bad fault plan {self.faults!r}: {error}") from None
+        if self.trace_dir is not None and not (isinstance(self.trace_dir, str) and self.trace_dir):
+            raise ValueError(f"trace_dir must be a non-empty path, got {self.trace_dir!r}")
+
+    @contextlib.contextmanager
+    def installed(self) -> Iterator["ExecutionEnv"]:
+        """Make this env current for the duration of the ``with`` block."""
+        token = _CURRENT_ENV.set(self)
+        try:
+            yield self
+        finally:
+            _CURRENT_ENV.reset(token)
+
+
+#: The one scoped execution-environment slot: the default env outside any
+#: :meth:`ExecutionEnv.installed` block, so nothing outlives a run.
+_CURRENT_ENV: contextvars.ContextVar[ExecutionEnv] = contextvars.ContextVar(
+    "repro_execution_env", default=ExecutionEnv()
+)
+
+
+def current_env() -> ExecutionEnv:
+    """The execution environment trials run under right now."""
+    return _CURRENT_ENV.get()
+
+
 def build_network(
     topology: Topology,
     program: Program,
@@ -122,65 +198,22 @@ def build_network(
     ``planner`` selects the per-node evaluation strategy (``"greedy"`` /
     ``"naive"``); ``None`` means the engine default, ``"greedy"``.
     ``run --planner`` forces a strategy by putting it into each trial's
-    kwargs.  When a process-wide fault plan is set (``--faults``), it is
-    installed before the network is seeded, so the whole fixpoint runs
-    under injected faults.
+    kwargs.  The network uses the current env's storage backend, and its
+    fault plan (``run --faults``) is installed before the network is
+    seeded, so the whole fixpoint runs under injected faults.
     """
+    env = current_env()
     network = ExspanNetwork(
         topology,
         program,
-        config=ExspanConfig(mode=mode, seed=seed, planner=planner),
+        config=ExspanConfig(mode=mode, seed=seed, planner=planner, storage=env.storage),
     )
-    plan = resolve_faults(None)
-    if plan is not None:
-        network.install_faults(plan)
+    if env.faults is not None:
+        network.install_faults(env.faults)
     network.seed_links()
     if run_to_fixpoint:
         network.run_to_fixpoint()
     return network
-
-
-#: Process-wide default worker count for shard-capable trials.  ``1`` means
-#: serial in-process execution.  Like ``PYTHONHASHSEED``, this is an
-#: *execution environment* knob, never part of a trial's kwargs or
-#: fingerprint: the sharded engine is bit-identical to the serial one, so
-#: artifacts produced under any default must be byte-identical — which is
-#: exactly what the CI determinism check verifies by diffing a
-#: ``--shards 2`` run against the committed (serial) baselines.
-DEFAULT_SHARDS = 1
-
-
-def set_default_shards(shards: int) -> None:
-    """Set the process-wide shard default (orchestrator ``--shards``)."""
-    global DEFAULT_SHARDS
-    DEFAULT_SHARDS = max(1, int(shards))
-
-
-def resolve_shards(explicit: Optional[int]) -> int:
-    """Effective shard count: the explicit kwarg, else the process default."""
-    return DEFAULT_SHARDS if explicit is None else max(1, int(explicit))
-
-
-#: Process-wide default fault plan (a ``parse_fault_spec`` string) injected
-#: into every trial network, or ``None`` for fault-free runs.  Unlike
-#: ``DEFAULT_SHARDS`` this knob is **not** byte-identity preserving on
-#: traffic counters — retransmits and duplicate suppression change the
-#: message-level series — so faulted artifacts must never be compared
-#: against the committed baselines.  What *is* preserved is convergence:
-#: any quiescing plan yields the same final protocol tables, which the
-#: chaos gate (``benchmarks/chaos_gate.py``) checks by digest.
-DEFAULT_FAULTS: Optional[str] = None
-
-
-def set_default_faults(faults: Optional[str]) -> None:
-    """Set the process-wide fault-plan default (orchestrator ``--faults``)."""
-    global DEFAULT_FAULTS
-    DEFAULT_FAULTS = faults or None
-
-
-def resolve_faults(explicit: Optional[str]) -> Optional[str]:
-    """Effective fault spec: the explicit kwarg, else the process default."""
-    return DEFAULT_FAULTS if explicit is None else (explicit or None)
 
 
 def fixpoint_summary(
@@ -193,18 +226,23 @@ def fixpoint_summary(
 ) -> Dict[str, Any]:
     """Seed + fixpoint a network, serial or sharded, and summarize it.
 
-    The summary dict (:func:`repro.net.sharding.collect_summary`) carries
-    every counter the fixpoint trials report; the sharded engine produces
-    the identical dict for any worker count, so trials built on this helper
+    ``shards=None`` takes the current env's shard count.  The summary
+    dict (:func:`repro.net.sharding.collect_summary`) carries every
+    counter the fixpoint trials report; the sharded engine produces the
+    identical dict for any worker count, so trials built on this helper
     yield byte-identical artifacts under any ``shards`` setting.
     """
-    count = resolve_shards(shards)
+    env = current_env()
+    count = env.shards if shards is None else shards
     if count <= 1:
         network = build_network(topology, program, mode, seed=seed, planner=planner)
         return collect_summary(network)
     with ShardedExspanNetwork(
-        topology, program, mode=mode, shards=count, seed=seed, planner=planner,
-        faults=resolve_faults(None),
+        topology,
+        program,
+        ExspanConfig(mode=mode, seed=seed, planner=planner, storage=env.storage),
+        shards=count,
+        faults=env.faults,
     ) as sharded:
         sharded.seed_links()
         sharded.run_to_fixpoint()
@@ -301,7 +339,7 @@ def comm_cost_trial(
 ) -> Dict[str, Any]:
     """Per-node communication cost (MB) to fixpoint at one (size, mode).
 
-    ``shards`` (default: the process-wide ``--shards`` setting) selects the
+    ``shards`` (default: the current env's, i.e. ``run --shards``) selects the
     sharded multi-process engine; results are identical for any value.
     """
     topology = size_topology(size, seed)
@@ -684,6 +722,7 @@ def query_concurrency_trial(
             seed=seed,
             query_coalescing=coalescing,
             query_batching=batching,
+            storage=current_env().storage,
         ),
     )
     network.seed_links()
@@ -941,10 +980,10 @@ def chaos_convergence_trial(
     else:
         resolved = _program(program)
 
+    config = ExspanConfig(mode=_mode(mode), seed=seed, storage=current_env().storage)
+
     def serial_run(plan):
-        network = ExspanNetwork(
-            topology, resolved, config=ExspanConfig(mode=_mode(mode), seed=seed)
-        )
+        network = ExspanNetwork(topology, resolved, config=config)
         if plan is not None:
             network.install_faults(plan)
         network.seed_links()
@@ -963,8 +1002,7 @@ def chaos_convergence_trial(
         fault_stats = dict(injector.stats()) if injector is not None else {}
     else:
         with ShardedExspanNetwork(
-            topology, resolved, mode=_mode(mode), shards=shards, seed=seed,
-            faults=faults, supervise=True,
+            topology, resolved, config, shards=shards, faults=faults, supervise=True
         ) as sharded:
             sharded.seed_links()
             sharded.run_to_fixpoint()

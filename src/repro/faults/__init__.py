@@ -5,7 +5,9 @@ Entry points:
 
 * build or parse a :class:`FaultPlan` (:func:`parse_fault_spec`);
 * install it with :meth:`repro.core.api.ExspanNetwork.install_faults`
-  (or the ``faults=`` argument of ``ShardedExspanNetwork``);
+  (or the ``faults=`` argument of ``ShardedExspanNetwork``); experiment
+  runs take it from their
+  :class:`~repro.experiments.trials.ExecutionEnv` (``run --faults``);
 * after quiescence, compare :func:`convergence_digest` against the
   fault-free run — byte equality is the contract.
 """

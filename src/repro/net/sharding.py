@@ -49,6 +49,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.bdd import Bdd, export_bdd, import_bdd
+from ..core.config import ExspanConfig, coerce_config
 from ..datalog.ast import Fact, Program
 from ..datalog.engine import Delta
 from .errors import NetworkError, SimulationError
@@ -332,24 +333,16 @@ class _WorkerConfig:
     assignment: Dict[Any, int]
     topology: Topology
     program: Program
-    mode: Any
-    seed: int
-    link_cost: int
-    value_policy: str
-    planner: Optional[str]
-    pipeline: Optional[str]
-    compact_min_cancelled: Optional[int]
-    compact_ratio: Optional[float]
+    #: The whole-network config; the worker narrows it to its own slice
+    #: with ``local_addresses`` / ``shard_map``.  Explicit sqlite storage
+    #: paths are suffixed per shard by the worker's ExspanNetwork so
+    #: forked processes never share one WAL.
+    config: ExspanConfig
     query_specs: Sequence[Any] = field(default_factory=tuple)
     #: When set, the worker builds its own shard-tagged tracer; spans are
     #: pulled over the pipe by the driver's ``"spans"`` verb and merged in
     #: deterministic (sim time, shard, seq) order.
     trace: bool = False
-    traffic_record_cap: Optional[int] = None
-    #: Storage backend spec (``None`` = worker-process default, i.e.
-    #: memory).  Explicit sqlite paths are suffixed per shard by the
-    #: worker's ExspanNetwork so forked processes never share one WAL.
-    storage: Optional[str] = None
     #: Serialized non-empty :class:`~repro.faults.plan.FaultPlan`
     #: (``FaultPlan.to_dict()``), or ``None`` for the fault-free fast
     #: path.  Every worker installs the same plan: link/flap schedules
@@ -359,7 +352,7 @@ class _WorkerConfig:
     faults: Optional[Dict[str, Any]] = None
 
 
-def _worker_main(conn, config: _WorkerConfig) -> None:
+def _worker_main(conn, worker: _WorkerConfig) -> None:
     """Run one shard: build the local slice, then serve barrier commands."""
     try:
         from ..core.api import ExspanNetwork
@@ -370,42 +363,29 @@ def _worker_main(conn, config: _WorkerConfig) -> None:
         # (the "spans" verb), with their own shard-tagged tracer.
         obs_runtime.disable_tracing()
         tracer = None
-        if config.trace:
+        if worker.trace:
             from ..obs.tracer import Tracer
 
-            tracer = Tracer(shard=config.shard_id)
+            tracer = Tracer(shard=worker.shard_id)
         local = [
             node
-            for node in config.topology.nodes
-            if config.assignment[node] == config.shard_id
+            for node in worker.topology.nodes
+            if worker.assignment[node] == worker.shard_id
         ]
-        from ..core.config import ExspanConfig
-
         net = ExspanNetwork(
-            config.topology,
-            config.program,
-            config=ExspanConfig(
-                mode=config.mode,
-                seed=config.seed,
-                link_cost=config.link_cost,
-                value_policy=config.value_policy,
-                planner=config.planner,
-                pipeline=config.pipeline,
-                local_addresses=tuple(local),
-                shard_map=config.assignment,
-                compact_min_cancelled=config.compact_min_cancelled,
-                compact_ratio=config.compact_ratio,
-                traffic_record_cap=config.traffic_record_cap,
-                storage=config.storage,
+            worker.topology,
+            worker.program,
+            config=worker.config.replace(
+                local_addresses=tuple(local), shard_map=worker.assignment
             ),
             tracer=tracer,
         )
-        for spec in config.query_specs:
+        for spec in worker.query_specs:
             net.register_spec(spec)
-        if config.faults is not None:
+        if worker.faults is not None:
             from ..faults.plan import FaultPlan
 
-            net.install_faults(FaultPlan.from_dict(config.faults))
+            net.install_faults(FaultPlan.from_dict(worker.faults))
         outcomes: Dict[str, Dict[str, Any]] = {}
         issued: Dict[Any, int] = {}
 
@@ -546,28 +526,32 @@ class ShardedExspanNetwork:
         self,
         topology: Topology,
         program: Program,
-        mode=None,
+        config: Optional[ExspanConfig] = None,
+        *,
         shards: int = 2,
-        seed: int = 0,
-        link_cost: int = 1,
-        value_policy: str = "bdd",
-        planner: Optional[str] = None,
-        pipeline: Optional[str] = None,
-        compact_min_cancelled: Optional[int] = None,
-        compact_ratio: Optional[float] = None,
         partition: Optional[Mapping[Any, int]] = None,
         query_specs: Sequence[Any] = (),
         tracer: Any = None,
-        traffic_record_cap: Optional[int] = None,
-        storage: Optional[str] = None,
         faults: Any = None,
         supervise: bool = False,
     ):
-        from ..core.modes import ProvenanceMode
+        """Fork the shard workers for *topology* / *program* under *config*.
+
+        ``config`` is the same :class:`~repro.core.config.ExspanConfig` a
+        serial :class:`~repro.core.api.ExspanNetwork` takes (``None`` =
+        defaults); every worker builds its slice from it.  Placement
+        belongs to the driver — ``shards`` or an explicit ``partition``
+        — so a config that already sets ``local_addresses`` /
+        ``shard_map`` is rejected.
+        """
         from ..obs import runtime as obs_runtime
 
-        if mode is None:
-            mode = ProvenanceMode.REFERENCE
+        config = coerce_config(config)
+        if config.local_addresses is not None:
+            raise NetworkError(
+                "ShardedExspanNetwork places nodes itself; pass a config "
+                "without local_addresses/shard_map"
+            )
         # ``faults`` accepts a FaultPlan, a fault-spec string, or None; an
         # empty plan is normalized to None so the run stays on the exact
         # fault-free code path (the empty-plan byte-identity contract).
@@ -630,33 +614,24 @@ class ShardedExspanNetwork:
         self.window_loads: List[List[int]] = []
         for shard in range(self.shards):
             parent_conn, child_conn = self._context.Pipe()
-            config = _WorkerConfig(
+            worker = _WorkerConfig(
                 shard_id=shard,
                 assignment=self.assignment,
                 topology=topology,
                 program=program,
-                mode=mode,
-                seed=seed,
-                link_cost=link_cost,
-                value_policy=value_policy,
-                planner=planner,
-                pipeline=pipeline,
-                compact_min_cancelled=compact_min_cancelled,
-                compact_ratio=compact_ratio,
+                config=config,
                 query_specs=tuple(query_specs),
                 trace=self.tracer is not None,
-                traffic_record_cap=traffic_record_cap,
-                storage=storage,
                 faults=plan.to_dict() if plan is not None else None,
             )
             process = self._context.Process(
-                target=_worker_main, args=(child_conn, config), daemon=True
+                target=_worker_main, args=(child_conn, worker), daemon=True
             )
             process.start()
             child_conn.close()
             self._connections.append(parent_conn)
             self._processes.append(process)
-            self._worker_configs.append(config)
+            self._worker_configs.append(worker)
             self._command_log.append([])
 
     @staticmethod

@@ -5,19 +5,19 @@ This package owns tuple storage for the whole system:
 * :mod:`repro.storage.memory` — the interned-row :class:`Table` /
   :class:`Catalog` machinery plus :class:`MemoryBackend`, the default
   backend that adds nothing on top of the in-RAM tier;
-* :mod:`repro.storage.backend` — the :class:`StorageBackend` interface,
-  spec parsing (``"memory"`` / ``"sqlite"`` / ``"sqlite:<path>"``) and
-  the process-wide default knob (:func:`default_storage` /
-  :func:`set_default_storage`, the ``--storage`` CLI convention);
+* :mod:`repro.storage.backend` — the :class:`StorageBackend` interface
+  and spec parsing (``"memory"`` / ``"sqlite"`` / ``"sqlite:<path>"``);
 * :mod:`repro.storage.sqlite` — the write-behind sqlite (WAL) mirror with
   the pre/post-order interval encoding of the provenance DAG and the
   SQL-compiled reachability/subgraph query path;
 * :mod:`repro.storage.checkpoint` — snapshot-consistent network
   checkpoint & restore (``ExspanNetwork.checkpoint``/``restore``).
 
-Backend choice is an execution-environment knob like ``--shards``: never
-fingerprinted, and results are byte-identical under
-any backend.
+A network's backend comes from ``ExspanConfig(storage=...)`` (``None``
+means ``"memory"``); experiment trials take it from the run's
+:class:`~repro.experiments.trials.ExecutionEnv` (``run --storage``).
+Like the shard count it is never fingerprinted, and results are
+byte-identical under any backend.
 """
 
 # Imported first to break the import cycle with repro.datalog: its engine
@@ -30,10 +30,8 @@ from .backend import (
     STORAGE_BACKENDS,
     StorageBackend,
     StorageError,
-    default_storage,
     make_backend,
     parse_storage_spec,
-    set_default_storage,
     validate_storage_spec,
 )
 from .memory import (
@@ -54,8 +52,6 @@ __all__ = [
     "StorageError",
     "MemoryBackend",
     "SqliteBackend",
-    "default_storage",
-    "set_default_storage",
     "make_backend",
     "parse_storage_spec",
     "validate_storage_spec",

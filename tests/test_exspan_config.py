@@ -13,6 +13,8 @@ from repro.core.api import ExspanNetwork
 from repro.core.config import ExspanConfig
 from repro.core.errors import ProvenanceError
 from repro.core.modes import ProvenanceMode
+from repro.net.errors import NetworkError
+from repro.net.sharding import ShardedExspanNetwork
 from repro.net.topology import ring_topology
 from repro.protocols.mincost import mincost_program
 
@@ -86,3 +88,17 @@ class TestDeprecationShim:
     def test_unknown_kwarg_is_an_error(self):
         with pytest.raises(TypeError):
             ExspanNetwork(ring_topology(4, seed=0), mincost_program(), warp_drive=True)
+
+    @pytest.mark.parametrize("network_class", [ExspanNetwork, ShardedExspanNetwork])
+    def test_config_must_be_an_exspan_config(self, network_class):
+        # A mode in the config slot fails at the call, naming ``config``.
+        with pytest.raises(TypeError, match="config"):
+            network_class(ring_topology(4, seed=0), mincost_program(), ProvenanceMode.NONE)
+
+    def test_sharded_driver_rejects_placement_in_config(self):
+        topology = ring_topology(4, seed=0)
+        placed = ExspanConfig(
+            local_addresses=("n0",), shard_map={node: 0 for node in topology.nodes}
+        )
+        with pytest.raises(NetworkError, match="local_addresses"):
+            ShardedExspanNetwork(topology, mincost_program(), placed)

@@ -40,9 +40,8 @@ def run_sharded(faults=None, supervise=False):
     with ShardedExspanNetwork(
         chaos_topology(SIZE, seed=0),
         mincost_program(),
-        mode=ProvenanceMode.REFERENCE,
+        config=ExspanConfig(mode=ProvenanceMode.REFERENCE, seed=0),
         shards=2,
-        seed=0,
         faults=faults,
         supervise=supervise,
     ) as sharded:

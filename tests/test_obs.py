@@ -22,6 +22,7 @@ import pytest
 from repro.core import ExspanConfig, ExspanNetwork, ProvenanceMode, QueryRequest
 from repro.core.customizations import derivation_count_query
 from repro.datalog.ast import Fact
+from repro.experiments.trials import ExecutionEnv
 from repro.net.message import TRACE_CONTEXT_KEY, payload_size
 from repro.net.sharding import ShardedExspanNetwork, collect_digest, collect_summary
 from repro.net.stats import TrafficStats
@@ -558,8 +559,8 @@ def _sharded_workload(tracer=None):
     with ShardedExspanNetwork(
         cluster_topology(2, 4, seed=3),
         mincost_program(),
+        config=ExspanConfig(seed=0),
         shards=2,
-        seed=0,
         query_specs=(QUERY_SPEC,),
         tracer=tracer,
     ) as sharded:
@@ -662,7 +663,7 @@ class TestOrchestratorTracing:
         traced = run(
             [tiny_scenario.name],
             results_dir=str(tmp_path / "traced"),
-            trace_dir=trace_dir,
+            env=ExecutionEnv(trace_dir=trace_dir),
         )
         assert plain.executed == traced.executed == 2
 
@@ -707,13 +708,13 @@ class TestOrchestratorTracing:
         serial = run(
             [tiny_scenario.name],
             results_dir=str(tmp_path / "s"),
-            trace_dir=str(tmp_path / "ts"),
+            env=ExecutionEnv(trace_dir=str(tmp_path / "ts")),
         )
         parallel = run(
             [tiny_scenario.name],
             workers=2,
             results_dir=str(tmp_path / "p"),
-            trace_dir=str(tmp_path / "tp"),
+            env=ExecutionEnv(trace_dir=str(tmp_path / "tp")),
         )
         assert serial.executed == parallel.executed
         assert canonical_artifact_bytes(
@@ -733,7 +734,7 @@ class TestOrchestratorTracing:
         run(
             [tiny_scenario.name],
             results_dir=str(tmp_path / "results"),
-            trace_dir=str(trace_dir),
+            env=ExecutionEnv(trace_dir=str(trace_dir)),
         )
         files = sorted(str(path) for path in trace_dir.iterdir())
         assert cli_main(["trace", *files, "--top", "2"]) == 0

@@ -34,7 +34,7 @@ from repro.experiments.orchestrator import (
     wall_clock_report,
 )
 from repro.experiments.scenarios import run_trial_spec
-from repro.experiments.trials import TRIAL_FUNCTIONS
+from repro.experiments.trials import TRIAL_FUNCTIONS, ExecutionEnv, current_env
 
 
 # ---------------------------------------------------------------------- #
@@ -159,6 +159,18 @@ class TestOrchestratorRun:
             tmp_path / "p", tiny_scenario.name
         )
         assert strict_compare(str(tmp_path / "s"), str(tmp_path / "p")) == []
+
+    def test_env_does_not_outlive_its_run(self, tiny_scenario, tmp_path):
+        # A faulted run followed by a plain one in the same process: the
+        # plain artifact must equal a fault-free run's, byte for byte.
+        run([tiny_scenario.name], results_dir=str(tmp_path / "clean"))
+        faulted = ExecutionEnv(faults="seed=1; attempts=8; drop:*->*:p=0.2")
+        run([tiny_scenario.name], results_dir=str(tmp_path / "faulted"), env=faulted)
+        run([tiny_scenario.name], results_dir=str(tmp_path / "after"))
+        clean = _artifact_bytes(tmp_path / "clean", tiny_scenario.name)
+        assert _artifact_bytes(tmp_path / "faulted", tiny_scenario.name) != clean
+        assert _artifact_bytes(tmp_path / "after", tiny_scenario.name) == clean
+        assert current_env() == ExecutionEnv()
 
     def test_artifact_schema(self, tiny_scenario, tmp_path):
         run([tiny_scenario.name], results_dir=str(tmp_path))

@@ -172,6 +172,18 @@ class TestRunnerCli:
         assert "run: error:" in capsys.readouterr().out
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--faults", "bogus:clause"], ["--storage", "bogus"], ["--shards", "0"]],
+    )
+    def test_runner_rejects_bad_execution_env(self, flags, capsys, tmp_path):
+        results = tmp_path / "results"
+        exit_code = experiments_main(["run", "17", "--results-dir", str(results), *flags])
+        assert exit_code == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("run: error: ")
+        assert not results.exists()
+
 
 class TestSimulatedNetworkSmallTopologies:
     def test_line_topology_fixpoint_latency_proportional_to_length(self):

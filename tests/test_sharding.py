@@ -131,10 +131,8 @@ def _sharded_state(
     with ShardedExspanNetwork(
         _topology(),
         PROGRAMS[program_key](),
-        mode=MODES[mode_key],
+        config=ExspanConfig(mode=MODES[mode_key], seed=0, value_policy=value_policy),
         shards=shards,
-        seed=0,
-        value_policy=value_policy,
         query_specs=specs,
     ) as sharded:
         sharded.seed_links()
@@ -247,7 +245,9 @@ def test_apply_ops_after_fixpoint_reopens_the_window():
     serial.run_to_fixpoint()
     serial.insert_fact(Fact("link", ("c0_1", "c0_3", 9)))
     serial.simulator.run_until_idle()
-    with ShardedExspanNetwork(_topology(), mincost_program(), shards=2, seed=0) as sharded:
+    with ShardedExspanNetwork(
+        _topology(), mincost_program(), config=ExspanConfig(seed=0), shards=2
+    ) as sharded:
         sharded.seed_links()
         sharded.run_to_fixpoint()
         sharded.apply_ops([ScriptOp("insert", fact=Fact("link", ("c0_1", "c0_3", 9)))])
@@ -277,7 +277,8 @@ def test_auto_query_ids_do_not_collide():
     serial_outcomes = apply_script_serial(serial, script)
     assert len(serial_outcomes) == 3
     with ShardedExspanNetwork(
-        _topology(), mincost_program(), shards=4, seed=0, query_specs=specs
+        _topology(), mincost_program(), config=ExspanConfig(seed=0), shards=4,
+        query_specs=specs,
     ) as sharded:
         sharded.seed_links()
         sharded.run_to_fixpoint()
@@ -288,7 +289,8 @@ def test_auto_query_ids_do_not_collide():
 def test_query_provenance_convenience():
     fact = Fact("bestPathCost", ("c0_1", "c0_2", 1))
     with ShardedExspanNetwork(
-        _topology(), mincost_program(), shards=2, seed=0, query_specs=_query_specs()
+        _topology(), mincost_program(), config=ExspanConfig(seed=0), shards=2,
+        query_specs=_query_specs(),
     ) as sharded:
         sharded.seed_links()
         sharded.run_to_fixpoint()
@@ -306,10 +308,12 @@ def test_sharded_digest_hashseed_invariant():
         "from repro.net.sharding import ShardedExspanNetwork\n"
         "from repro.net.topology import cluster_topology\n"
         "from repro.protocols import mincost_program\n"
+        "from repro.core.config import ExspanConfig\n"
         "from repro.core.modes import ProvenanceMode\n"
         "with ShardedExspanNetwork(cluster_topology(3, 5, seed=1),\n"
-        "        mincost_program(), mode=ProvenanceMode.REFERENCE,\n"
-        "        shards=2, seed=0) as sharded:\n"
+        "        mincost_program(),\n"
+        "        config=ExspanConfig(mode=ProvenanceMode.REFERENCE, seed=0),\n"
+        "        shards=2) as sharded:\n"
         "    sharded.seed_links()\n"
         "    sharded.run_to_fixpoint()\n"
         "    payload = json.dumps([sharded.summary(), sharded.digest()],\n"
@@ -559,7 +563,9 @@ def test_sharded_records_match_serial_aggregates():
     serial = ExspanNetwork(_topology(), mincost_program(), config=ExspanConfig(seed=0))
     serial.seed_links()
     serial.run_to_fixpoint()
-    with ShardedExspanNetwork(_topology(), mincost_program(), shards=2, seed=0) as sharded:
+    with ShardedExspanNetwork(
+        _topology(), mincost_program(), config=ExspanConfig(seed=0), shards=2
+    ) as sharded:
         sharded.seed_links()
         sharded.run_to_fixpoint()
         merged = sharded.records()
@@ -575,7 +581,9 @@ def test_sharded_traffic_stats_match_serial_views():
     serial = ExspanNetwork(_topology(), mincost_program(), config=ExspanConfig(seed=0))
     serial.seed_links()
     serial.run_to_fixpoint()
-    with ShardedExspanNetwork(_topology(), mincost_program(), shards=3, seed=0) as sharded:
+    with ShardedExspanNetwork(
+        _topology(), mincost_program(), config=ExspanConfig(seed=0), shards=3
+    ) as sharded:
         sharded.seed_links()
         sharded.run_to_fixpoint()
         merged = sharded.traffic_stats()
@@ -646,8 +654,8 @@ def test_disconnected_islands_cross_shard_queries():
     with ShardedExspanNetwork(
         _island_topology(),
         mincost_program(),
+        config=ExspanConfig(seed=0),
         shards=2,
-        seed=0,
         partition=partition,
         query_specs=specs,
     ) as sharded:
@@ -670,7 +678,9 @@ def test_parallelism_report_counts_every_event():
     serial = ExspanNetwork(_topology(), mincost_program(), config=ExspanConfig(seed=0))
     serial.seed_links()
     serial.run_to_fixpoint()
-    with ShardedExspanNetwork(_topology(), mincost_program(), shards=4, seed=0) as sharded:
+    with ShardedExspanNetwork(
+        _topology(), mincost_program(), config=ExspanConfig(seed=0), shards=4
+    ) as sharded:
         sharded.seed_links()
         sharded.run_to_fixpoint()
         report = sharded.parallelism_report()

@@ -1,7 +1,9 @@
 """Pluggable storage engine: spec parsing, byte-identity, sqlite mirror.
 
-The storage backend is an execution-environment knob (the ``--shards``
-convention): results must be byte-identical under any backend.  These tests pin that contract — the memory default adds
+The storage backend is part of a run's execution environment (the
+``--shards`` convention): results must be byte-identical under any
+backend.  These tests pin that contract — ``run --storage`` reaches every
+trial network, the memory default adds
 nothing, the sqlite mirror tracks the engines through inserts *and*
 deletes, metrics only appear when a persistent backend is attached, and
 an in-process checkpoint round-trip (including aggregate-rule state)
@@ -15,8 +17,15 @@ import pytest
 from repro.core.api import ExspanNetwork
 from repro.core.config import ExspanConfig
 from repro.core.errors import ProvenanceError
+from repro.core.modes import ProvenanceMode
 from repro.core.rewrite import PROV_TABLE, RULE_EXEC_TABLE
 from repro.datalog.ast import is_event_predicate
+from repro.experiments.trials import (
+    ExecutionEnv,
+    build_network,
+    fixpoint_summary,
+    query_concurrency_trial,
+)
 from repro.net.sharding import node_state_digest
 from repro.net.topology import ring_topology
 from repro.protocols.mincost import mincost_program
@@ -26,10 +35,8 @@ from repro.storage import (
     SqliteBackend,
     StorageBackend,
     StorageError,
-    default_storage,
     make_backend,
     parse_storage_spec,
-    set_default_storage,
 )
 
 
@@ -51,7 +58,7 @@ def _run_mincost(storage=None, size=6, seed=1):
 
 
 # ---------------------------------------------------------------------- #
-# spec parsing, factory, process-wide default
+# spec parsing, factory, the execution environment
 # ---------------------------------------------------------------------- #
 def test_parse_storage_spec():
     assert parse_storage_spec("memory") == ("memory", None)
@@ -87,17 +94,38 @@ def test_ephemeral_sqlite_removed_on_close():
     assert not os.path.exists(path)
 
 
-def test_default_storage_knob():
-    assert default_storage() == "memory"
-    set_default_storage("sqlite")
-    try:
-        assert default_storage() == "sqlite"
-        assert isinstance(make_backend(), SqliteBackend)
-    finally:
-        set_default_storage("memory")
+def test_env_storage_reaches_every_trial_network(tmp_path, monkeypatch):
+    # Backends are byte-identical by contract, so an artifact compare can
+    # not tell whether the setting arrived: count SqliteBackend builds.
+    # Sharded workers are forked, so the spy logs to a file, not a list.
+    log = tmp_path / "sqlite_builds"
+    original = SqliteBackend.__init__
+
+    def spy(self, *args, **kwargs):
+        with open(log, "a") as handle:
+            handle.write(f"{os.getpid()}\n")
+        original(self, *args, **kwargs)
+
+    def builds():
+        return log.read_text().split() if log.exists() else []
+
+    monkeypatch.setattr(SqliteBackend, "__init__", spy)
+    topology = ring_topology(4, seed=1)
+    with ExecutionEnv(storage="sqlite").installed():
+        build_network(topology, mincost_program(), ProvenanceMode.REFERENCE).close_storage()
+        assert len(builds()) == 1
+        fixpoint_summary(topology, mincost_program(), ProvenanceMode.REFERENCE, shards=2)
+        assert len(builds()) == 3 and os.getpid() not in map(int, builds()[1:])
+        query_concurrency_trial("ring", 4, 1, "BFS", False, queries_per_querier=1)
+        assert len(builds()) == 4
+    # Outside the block the default env (memory) is back.
+    build_network(topology, mincost_program(), ProvenanceMode.REFERENCE)
+    assert len(builds()) == 4
     assert isinstance(make_backend(), MemoryBackend)
     with pytest.raises(StorageError):
-        set_default_storage("bogus")
+        make_backend("bogus")
+    with pytest.raises(ValueError, match="bogus"):
+        ExecutionEnv(storage="bogus")
 
 
 def test_memory_backend_rejects_sql():
@@ -123,7 +151,7 @@ def test_config_validates_storage_spec():
         ExspanConfig(storage="flatfile")
 
 
-def test_config_to_dict_omits_default_storage():
+def test_config_to_dict_omits_unset_storage():
     assert "storage" not in ExspanConfig().to_dict()
     assert ExspanConfig(storage="sqlite").to_dict()["storage"] == "sqlite"
 
